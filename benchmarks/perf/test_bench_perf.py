@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.analysis.perf import (
     COMPONENT_NAMES,
-    measure_qrm_speedup,
+    DEFAULT_BATCH_SIZES,
+    DEFAULT_SERVICE_CONCURRENCIES,
+    measure,
     run_perf_suite,
     validate_bench_report,
 )
@@ -68,31 +70,29 @@ def test_bench_perf_smoke(seed_base, results_dir, emit):
                 assert entry["batched"]["amortized_ms"] > 0
                 assert entry["speedup_batched"] > 0
             continue
+        if name == "pipeline_latency":
+            assert block["sequential_ms"]["mean"] > 0
+            assert block["pipelined_ms"]["mean"] > 0
+            assert block["overlap_speedup"] > 0
+            continue
         assert block["vectorized_ms"]["mean"] > 0
         assert block["speedup_vs_reference"] > 0
 
 
 def test_batched_qrm_speedup_block_shape(seed_base):
-    from repro.analysis.perf import measure_batched_qrm_speedup
-
-    block = measure_batched_qrm_speedup(
-        size=16, batch_sizes=(1, 4), trials=1, master_seed=seed_base
-    )
+    block = measure("batched_qrm", size=16, trials=1, master_seed=seed_base)
     assert set(block) >= {"size", "fill", "trials", "single_ms", "batches"}
-    assert [entry["batch_size"] for entry in block["batches"]] == [1, 4]
+    batch_sizes = [entry["batch_size"] for entry in block["batches"]]
+    assert batch_sizes == list(DEFAULT_BATCH_SIZES)
     for entry in block["batches"]:
         assert entry["amortized_ms"]["mean"] > 0
 
 
 def test_service_latency_block_shape(seed_base):
-    from repro.analysis.perf import measure_service_latency
-
-    block = measure_service_latency(
-        size=8, concurrencies=(1, 2), requests_per_client=2,
-        master_seed=seed_base,
-    )
+    block = measure("service_latency", size=8, trials=1, master_seed=seed_base)
     assert set(block) >= {"size", "fill", "batch_window_ms", "concurrency"}
-    assert [entry["clients"] for entry in block["concurrency"]] == [1, 2]
+    clients = [entry["clients"] for entry in block["concurrency"]]
+    assert clients == list(DEFAULT_SERVICE_CONCURRENCIES)
     for entry in block["concurrency"]:
         for mode in ("unbatched", "batched"):
             assert entry[mode]["p50_ms"] <= entry[mode]["p99_ms"]
@@ -160,12 +160,12 @@ def test_perf_gate_notices_name_skipped_components(seed_base):
     }
     outcome = evaluate_gate(report, baseline)
     assert outcome.ok  # nothing comparable, so nothing can slip
-    assert any("qrm speedup" in notice for notice in outcome.notices)
+    assert any(notice.startswith("speedup:") for notice in outcome.notices)
     assert any("'tetris'" in notice for notice in outcome.notices)
 
 
 def test_speedup_block_shape(seed_base):
-    block = measure_qrm_speedup(size=16, trials=1, master_seed=seed_base)
+    block = measure("qrm", size=16, trials=1, master_seed=seed_base)
     assert set(block) >= {
         "vectorized_ms",
         "reference_ms",
@@ -176,9 +176,7 @@ def test_speedup_block_shape(seed_base):
 
 
 def test_guarded_drain_speedup_block_shape(seed_base):
-    from repro.analysis.perf import measure_guarded_drain_speedup
-
-    block = measure_guarded_drain_speedup(size=16, trials=1, master_seed=seed_base)
+    block = measure("guarded_drain", size=16, trials=1, master_seed=seed_base)
     assert set(block) >= {"vectorized_ms", "reference_ms", "speedup_vs_reference"}
     assert block["vectorized_ms"]["mean"] > 0
     assert block["reference_ms"]["mean"] > 0

@@ -41,7 +41,6 @@ from repro.core import (
     QrmScheduler,
     RearrangementResult,
     TypicalScheduler,
-    rearrange,
 )
 from repro.lattice import (
     ArrayGeometry,
@@ -79,7 +78,6 @@ __all__ = [
     "execute_schedule",
     "get_algorithm",
     "load_uniform",
-    "rearrange",
     "render_array",
     "run_campaign",
     "render_side_by_side",

@@ -7,27 +7,28 @@ schedule construction for QRM and the published baselines over a grid of
 array sizes and fill fractions, and writes a machine-readable
 ``BENCH_qrm.json`` with mean/std/min/max per case.
 
-The report also carries a *speedup* block for the QRM hot path — the
-vectorised scheduler vs. the live per-command reference oracle
-(:func:`repro.core.passes.run_pass_reference`) and vs. the pinned
-pre-vectorization seed implementation
-(:mod:`repro.analysis.seed_baseline`) — plus one *component speedup*
-entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
-the guarded pipelined-mode drain, and the masked QRM+repair path on a
-ring target), each timed against its live
-``*_reference`` oracle, and one per subsystem-level before/after pair
-(cross-trial batching, service micro-batching, and the closed-loop
-pipeline's stage overlap).  Both the "before" and
-"after" numbers of every vectorisation live in the same file, and
-:func:`validate_bench_report` pins the JSON layout so the artefact
-cannot silently drift.
+The report also carries one before/after block per *component*.  The
+``qrm`` block times the vectorised QRM hot path against the live
+per-command reference oracle (:func:`repro.core.passes.run_pass_reference`)
+and the pinned pre-vectorization seed implementation
+(:mod:`repro.analysis.seed_baseline`); six more time a vectorised stage
+against its live ``*_reference`` oracle (repair, Tetris, PSCA, MTA1, the
+guarded pipelined-mode drain, and masked QRM+repair on a ring target);
+three time a subsystem-level pair (cross-trial batching, service
+micro-batching, and the closed-loop pipeline's stage overlap).
 
-Raw timings are wall-clock and therefore machine- and run-dependent,
-but every recorded *speedup* is a ratio of best-of minima from
-interleaved, GC-swept repeats — reproducible enough that
-:mod:`repro.analysis.perf_gate` gates CI on them (``repro bench
---gate``).  Everything else (trial seeds, schedule sizes) is
-deterministic under ``master_seed``.
+Each component is declared once, as a :class:`Component`: its name, a
+setup generator that builds the inputs and the callables to time, the
+schema its block must satisfy, the speedup ratios the CI gate tracks
+(:mod:`repro.analysis.perf_gate`), and its one-line table summary.  One
+timing loop (:func:`_time_blocks`) serves every declaration: implementations
+are interleaved inside each trial so machine-load drift never lands on
+one side only, every timed region is GC-swept first, and minima pool
+across sweeps.  Raw timings are wall-clock and therefore machine- and
+run-dependent, but every recorded *speedup* is a ratio of best-of minima
+— reproducible enough to gate CI on (``repro bench --gate``).
+Everything else (trial seeds, schedule sizes) is deterministic under
+``master_seed``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import (
+    Any,
+    Callable,
+    Generator,
+    Hashable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
@@ -56,29 +66,6 @@ from repro.lattice.loading import load_uniform
 #: label and its site count next to the usual speedup block).
 BENCH_SCHEMA_VERSION = 7
 
-#: Components with a live before/after speedup measurement.  All but
-#: ``batched_qrm``, ``service_latency`` and ``pipeline_latency`` time a
-#: vectorised path against its per-command reference oracle
-#: (``masked_qrm`` does so on a non-rectangular ring target, covering
-#: the mask-derived scan limits and mask-aware repair);
-#: ``batched_qrm`` times the cross-trial batched engine against serial
-#: single-trial scheduling, ``service_latency`` times the scheduling
-#: service with micro-batching on against the same service with
-#: batching off, and ``pipeline_latency`` times the closed-loop
-#: pipeline with stages overlapped across frames against the same loop
-#: run to completion.
-COMPONENT_NAMES = (
-    "repair",
-    "tetris",
-    "psca",
-    "mta1",
-    "guarded_drain",
-    "masked_qrm",
-    "batched_qrm",
-    "service_latency",
-    "pipeline_latency",
-)
-
 DEFAULT_SIZES = (32, 64, 128)
 DEFAULT_FILLS = (0.3, 0.5, 0.7)
 
@@ -92,13 +79,15 @@ DEFAULT_BATCH_SIZES = (1, 8, 32, 128)
 #: amortisation the service exists for.
 DEFAULT_SERVICE_CONCURRENCIES = (1, 4, 16)
 
-#: Largest array each slow scheduler is benchmarked at by default.
-#: Cases beyond a cap are recorded in the report's ``skipped`` list —
-#: never silently dropped.  Empty since the mta1 vectorisation: every
-#: default algorithm now covers the full default grid (the per-command
-#: mta1 needed ~1 minute per 128x128 schedule; the vectorised one runs
-#: it in seconds).
-SIZE_CAPS: dict[str, int] = {}
+#: The production micro-batching window and wave cap the
+#: ``service_latency`` block measures against batching off.
+SERVICE_BATCH_WINDOW_S = 0.002
+SERVICE_MAX_BATCH_SIZE = 32
+
+#: Stream shape of one ``pipeline_latency`` run: shots, each with up to
+#: this many repair cycles under the default loss model.
+PIPELINE_SHOTS = 4
+PIPELINE_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -144,14 +133,17 @@ class BenchRecord:
 
 @dataclass
 class PerfReport:
-    """Everything one ``repro bench`` invocation measured."""
+    """Everything one ``repro bench`` invocation measured.
+
+    ``blocks`` maps component names to their measured blocks; the JSON
+    layout files the ``qrm`` block under ``speedup`` and the rest under
+    ``component_speedups``.
+    """
 
     master_seed: int
     trials: int
     records: list[BenchRecord] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-    speedup: dict | None = None
-    component_speedups: dict[str, dict] = field(default_factory=dict)
+    blocks: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -164,9 +156,14 @@ class PerfReport:
                 "platform": platform.platform(),
             },
             "entries": [record.to_dict() for record in self.records],
-            "skipped": self.skipped,
-            "speedup": self.speedup,
-            "component_speedups": self.component_speedups,
+            # Every algorithm covers the full grid since the mta1
+            # vectorisation, so no case is skipped any more; the key
+            # stays for schema compatibility.
+            "skipped": [],
+            "speedup": self.blocks.get(QRM_SPEEDUP.name),
+            "component_speedups": {
+                c.name: self.blocks[c.name] for c in COMPONENTS if c.name in self.blocks
+            },
         }
 
     def write_json(self, path: str | Path) -> Path:
@@ -209,79 +206,18 @@ class PerfReport:
                 title="Schedule-construction wall time (per schedule)",
             )
         ]
-        for skip in self.skipped:
-            parts.append(
-                f"[skipped {skip['algorithm']} at {skip['size']}: "
-                f"{skip['reason']}]"
-            )
-        if self.speedup is not None:
-            s = self.speedup
-            parts.append(
-                f"QRM {s['size']}x{s['size']} hot path: "
-                f"vectorized {s['vectorized_ms']['mean']:.2f} ms, "
-                f"reference {s['reference_ms']['mean']:.2f} ms, "
-                f"seed (pre-PR) {s['seed_ms']['mean']:.2f} ms -> "
-                f"{s['speedup_vs_seed']:.1f}x vs seed, "
-                f"{s['speedup_vs_reference']:.1f}x vs reference"
-            )
-        for name, s in self.component_speedups.items():
-            if name == "batched_qrm":
-                per_batch = ", ".join(
-                    f"B={b['batch_size']}: {b['amortized_ms']['mean']:.2f} ms "
-                    f"({b['speedup_vs_single']:.1f}x)"
-                    for b in s["batches"]
-                )
-                parts.append(
-                    f"batched_qrm {s['size']}x{s['size']}: "
-                    f"single {s['single_ms']['mean']:.2f} ms/trial; "
-                    f"amortised {per_batch}"
-                )
-                continue
-            if name == "pipeline_latency":
-                parts.append(
-                    f"pipeline_latency {s['size']}x{s['size']} "
-                    f"({s['shots']} shots x <= {s['cycles']} cycles): "
-                    f"sequential {s['sequential_ms']['mean']:.2f} ms, "
-                    f"pipelined {s['pipelined_ms']['mean']:.2f} ms -> "
-                    f"{s['overlap_speedup']:.2f}x overlap"
-                )
-                continue
-            if name == "service_latency":
-                per_level = "; ".join(
-                    f"c={e['clients']}: p50 "
-                    f"{e['unbatched']['p50_ms']:.2f}->"
-                    f"{e['batched']['p50_ms']:.2f} ms, p99 "
-                    f"{e['unbatched']['p99_ms']:.2f}->"
-                    f"{e['batched']['p99_ms']:.2f} ms, "
-                    f"{e['speedup_batched']:.2f}x amortised"
-                    for e in s["concurrency"]
-                )
-                parts.append(
-                    f"service_latency {s['size']}x{s['size']} "
-                    f"(unbatched->batched, window "
-                    f"{s['batch_window_ms']:g} ms): {per_level}"
-                )
-                continue
-            scenario = f" {s['mask']}" if name == "masked_qrm" else ""
-            parts.append(
-                f"{name} {s['size']}x{s['size']}{scenario}: "
-                f"vectorized {s['vectorized_ms']['mean']:.2f} ms, "
-                f"reference {s['reference_ms']['mean']:.2f} ms -> "
-                f"{s['speedup_vs_reference']:.1f}x vs reference"
-            )
+        for component, _, block in component_blocks(self.to_dict()):
+            if block is not None:
+                parts.append(f"{component.name} {component.summary(block)}")
         return "\n".join(parts)
 
 
 def _time_schedules(
-    make_scheduler: Callable[[ArrayGeometry], object],
-    size: int,
-    fill: float,
-    trials: int,
-    master_seed: int,
+    algorithm: str, size: int, fill: float, trials: int, master_seed: int
 ) -> tuple[Summary, Summary]:
     """Time ``trials`` seeded schedule constructions; returns (ms, moves)."""
     geometry = ArrayGeometry.square(size)
-    scheduler = make_scheduler(geometry)
+    scheduler = get_algorithm(algorithm, geometry)
     wall_ms: list[float] = []
     moves: list[float] = []
     for index in range(trials):
@@ -293,111 +229,350 @@ def _time_schedules(
     return Summary.of(wall_ms), Summary.of(moves)
 
 
-def measure_qrm_speedup(
+# ---------------------------------------------------------------------------
+# The timing loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Side:
+    """One implementation a block times, under the sample key ``name``.
+
+    ``sample`` maps ``(run's result, harness wall ms)`` to the recorded
+    sample — e.g. an amortised per-item time, or a clock the timed work
+    keeps itself; by default the harness wall time is recorded.
+    """
+
+    name: Hashable
+    run: Callable[[Any], Any]
+    sample: Callable[[Any, float], float] | None = None
+
+
+@dataclass(frozen=True)
+class Block:
+    """Trials that share one steady state, each timing every side in turn.
+
+    ``prepare`` (untimed) re-establishes the block's steady state before
+    its trials; ``make_input`` builds each trial's input (untimed) from
+    the trial index, which is the input itself when it is None.
+    """
+
+    trials: int
+    sides: tuple[Side, ...]
+    make_input: Callable[[int], Any] | None = None
+    prepare: Callable[[], Any] | None = None
+
+
+def _time_blocks(blocks: Sequence[Block], sweeps: int) -> dict[Hashable, Summary]:
+    """Time every side of every block; one :class:`Summary` per side name.
+
+    All sides run inside each trial, in order, so drift never lands on
+    one side only (back-to-back blocks would charge it to whichever ran
+    second).  Each timed region is GC-swept first.  The blocks run
+    ``sweeps`` times over, so a side's minimum pools well-separated
+    moments and one transient disturbance cannot inflate every repeat.
+    """
+    samples: dict[Hashable, list[float]] = {}
+    for _ in range(sweeps):
+        for block in blocks:
+            if block.prepare is not None:
+                block.prepare()
+            for index in range(block.trials):
+                trial_input = (
+                    index if block.make_input is None else block.make_input(index)
+                )
+                for side in block.sides:
+                    gc.collect()
+                    start = time.perf_counter()
+                    result = side.run(trial_input)
+                    wall_ms = (time.perf_counter() - start) * 1e3
+                    if side.sample is not None:
+                        wall_ms = side.sample(result, wall_ms)
+                    samples.setdefault(side.name, []).append(wall_ms)
+    return {name: Summary.of(values) for name, values in samples.items()}
+
+
+#: A component's setup: ``setup(size, fill, trials, master_seed)``
+#: yields the blocks to time, receives their per-side summaries, and
+#: returns the JSON block.  Yielding more than once times in stages —
+#: e.g. one stage per service concurrency level, each with its own
+#: servers held open across its sweeps.
+Setup = Generator[Sequence[Block], Mapping[Hashable, Summary], dict]
+
+
+# ---------------------------------------------------------------------------
+# Declarations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Ratio:
+    """One gated speedup ratio inside a component block.
+
+    ``key`` names the ratio.  With ``entries`` set, every record of that
+    list carries one, labelled ``"<tag>=<record[by]>"``; records are kept
+    in ascending ``by`` order, and ``highest_only`` gates just the
+    highest label both reports measured.
+    """
+
+    key: str
+    entries: str | None = None
+    by: str = ""
+    tag: str = ""
+    highest_only: bool = False
+
+    def values(self, block: Mapping) -> dict[str, float]:
+        """Label -> ratio for every instance of this ratio in ``block``."""
+        if self.entries is None:
+            return {self.key: block[self.key]}
+        return {
+            f"{self.tag}={entry[self.by]} {self.key}": entry[self.key]
+            for entry in block[self.entries]
+        }
+
+
+@dataclass(frozen=True)
+class Component:
+    """Everything ``repro bench``, the validator and the gate know of one
+    before/after measurement.
+
+    ``schema`` maps each required block key to a checker (None checks
+    presence only); ``sweeps`` is how often the timing loop runs its
+    blocks.
+    """
+
+    name: str
+    setup: Callable[[int, float, int, int], Setup]
+    schema: Mapping[str, Callable[[Any, str], None] | None]
+    gated: tuple[Ratio, ...]
+    summary: Callable[[Mapping], str]
+    sweeps: int = 1
+
+
+def measure(
+    name: str,
     size: int = 64,
     fill: float = 0.5,
     trials: int = 3,
     master_seed: int = 0,
 ) -> dict:
-    """Time the QRM hot path under all three pass implementations.
+    """Measure the component declared as ``name``; returns its JSON block."""
+    component = _DECLARED[name]
+    setup = component.setup(size, fill, trials, master_seed)
+    try:
+        blocks = next(setup)
+        while True:
+            blocks = setup.send(_time_blocks(blocks, component.sweeps))
+    except StopIteration as done:
+        return done.value
+    finally:
+        setup.close()
 
-    Returns a JSON-ready mapping with the vectorised, live-reference,
-    and pinned-seed ("pre-PR") timings plus their ratios — the
-    before/after record the vectorisation is judged by.
-    """
-    from repro.analysis.seed_baseline import seed_run_pass
-    from repro.core.passes import run_pass, run_pass_reference
-    from repro.core.qrm import QrmScheduler
 
-    geometry = ArrayGeometry.square(size)
-    schedulers = {
-        "vectorized": QrmScheduler(geometry, pass_runner=run_pass),
-        "reference": QrmScheduler(geometry, pass_runner=run_pass_reference),
-        "seed": QrmScheduler(geometry, pass_runner=seed_run_pass),
-    }
-    # All three implementations are timed inside each trial (drift never
-    # lands on one side only), GC-swept before every timed region, and
-    # swept twice so each minimum pools two well-separated moments —
-    # the ratios below feed the CI regression gate.
-    wall_ms: dict[str, list[float]] = {name: [] for name in schedulers}
-    for _ in range(2):
-        for index in range(trials):
-            array = load_uniform(geometry, fill, rng=master_seed + index)
-            for name, scheduler in schedulers.items():
-                gc.collect()
-                start = time.perf_counter()
-                scheduler.schedule(array)
-                wall_ms[name].append((time.perf_counter() - start) * 1e3)
-    timings = {name: Summary.of(samples) for name, samples in wall_ms.items()}
+# -- schema checkers: (value, context) -> None, raising ValueError ----------
 
+
+def _summary(block: Any, context: str) -> None:
+    for key in ("mean", "std", "min", "max"):
+        if not isinstance(block.get(key), (int, float)):
+            raise ValueError(f"{context}.{key} missing or non-numeric")
+    if not block["min"] <= block["mean"] <= block["max"]:
+        raise ValueError(f"{context}: min <= mean <= max violated")
+
+
+def _number(value: Any, context: str) -> None:
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{context} missing or non-numeric")
+
+
+def _positive(value: Any, context: str) -> None:
+    _number(value, context)
+    if value <= 0:
+        raise ValueError(f"{context} must be positive")
+
+
+def _positive_int(value: Any, context: str) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{context} must be a positive int")
+
+
+def _text(value: Any, context: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{context} must be a non-empty string")
+
+
+def _sha256(value: Any, context: str) -> None:
+    if not isinstance(value, str) or len(value) != 64:
+        raise ValueError(f"{context} must be a sha256 hex digest")
+
+
+def _check_record(record: Any, schema: Mapping, context: str) -> None:
+    if not isinstance(record, Mapping):
+        raise ValueError(f"{context} must be an object")
+    for key, check in schema.items():
+        if key not in record:
+            raise ValueError(f"{context} missing {key!r}")
+        if check is not None:
+            check(record[key], f"{context}.{key}")
+
+
+def _records(schema: Mapping) -> Callable[[Any, str], None]:
+    """Checker for a non-empty list of records that each match ``schema``."""
+
+    def check(entries: Any, context: str) -> None:
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"{context} must be a non-empty list")
+        for index, entry in enumerate(entries):
+            _check_record(entry, schema, f"{context}[{index}]")
+
+    return check
+
+
+def _latency_mode(block: Any, context: str) -> None:
+    """One service mode's latency record: percentiles ordered, cost > 0."""
+    _check_record(
+        block,
+        {
+            "requests": _number,
+            "p50_ms": _number,
+            "p95_ms": _number,
+            "p99_ms": _number,
+            "amortized_ms": _positive,
+            "throughput_rps": _number,
+        },
+        context,
+    )
+    if not block["p50_ms"] <= block["p95_ms"] <= block["p99_ms"]:
+        raise ValueError(f"{context}: p50 <= p95 <= p99 violated")
+
+
+#: Keys every component block opens with; ``trials`` is always the
+#: per-sweep trial count.
+_CASE_SCHEMA = {"size": None, "fill": None, "trials": _positive_int}
+
+_VS_REFERENCE_SCHEMA = {
+    **_CASE_SCHEMA,
+    "vectorized_ms": _summary,
+    "reference_ms": _summary,
+    "speedup_vs_reference": _positive,
+}
+
+_VS_REFERENCE = Ratio("speedup_vs_reference")
+
+
+# -- shared setup pieces ----------------------------------------------------
+
+
+def _loader(geometry: ArrayGeometry, fill: float, master_seed: int):
+    """Trial index -> the seeded uniform load every component starts from."""
+    return lambda index: load_uniform(geometry, fill, rng=master_seed + index)
+
+
+def _reference_fields(
+    size: int, fill: float, trials: int, timings: Mapping[Hashable, Summary]
+) -> dict:
     return {
         "size": size,
         "fill": fill,
         "trials": trials,
         "vectorized_ms": summary_dict(timings["vectorized"]),
         "reference_ms": summary_dict(timings["reference"]),
-        "seed_ms": summary_dict(timings["seed"]),
         # Ratios of minima, not means: a single disturbed repeat can
         # double a mean on a shared box, while best-of minima are
         # reproducible — and these ratios feed the CI regression gate.
-        "speedup_vs_seed": timings["seed"].minimum / timings["vectorized"].minimum,
         "speedup_vs_reference": (
             timings["reference"].minimum / timings["vectorized"].minimum
         ),
     }
 
 
-def _speedup_block(size: int, fill: float, timings: dict[str, Summary]) -> dict:
-    """JSON shape shared by every vectorised-vs-reference measurement.
+class _Pair(NamedTuple):
+    """A vectorised path and its reference oracle, timed vectorised first.
 
-    The speedup is a ratio of best-of minima (see
-    :func:`measure_qrm_speedup`) so the recorded value is reproducible
-    enough to gate on.
+    ``make_input`` builds each trial's input from its index; ``labels``
+    are extra block fields that name the measured scenario.
     """
+
+    make_input: Callable[[int], Any]
+    vectorized: Callable[[Any], Any]
+    reference: Callable[[Any], Any]
+    labels: Mapping[str, Any] = {}
+
+
+def _versus_reference_line(block: Mapping, scenario: str = "") -> str:
+    return (
+        f"{block['size']}x{block['size']}{scenario}: "
+        f"vectorized {block['vectorized_ms']['mean']:.2f} ms, "
+        f"reference {block['reference_ms']['mean']:.2f} ms -> "
+        f"{block['speedup_vs_reference']:.1f}x vs reference"
+    )
+
+
+def _versus_reference(
+    name: str,
+    pair: Callable[[int, float, int], _Pair],
+    label_schema: Mapping[str, Callable[[Any, str], None]] | None = None,
+    summary: Callable[[Mapping], str] = _versus_reference_line,
+) -> Component:
+    """Declare a one-sweep component timing ``pair(size, fill, master_seed)``."""
+
+    def setup(size: int, fill: float, trials: int, master_seed: int) -> Setup:
+        make_input, vectorized, reference, labels = pair(size, fill, master_seed)
+        sides = (Side("vectorized", vectorized), Side("reference", reference))
+        timings = yield [Block(trials, sides, make_input)]
+        return {**_reference_fields(size, fill, trials, timings), **labels}
+
+    schema = {**_VS_REFERENCE_SCHEMA, **(label_schema or {})}
+    return Component(name, setup, schema, (_VS_REFERENCE,), summary)
+
+
+# -- qrm --------------------------------------------------------------------
+
+
+def _qrm_setup(size: int, fill: float, trials: int, master_seed: int) -> Setup:
+    """The QRM hot path under all three pass implementations.
+
+    The vectorised, live-reference and pinned-seed (pre-vectorisation)
+    timings plus their ratios are the before/after record the
+    vectorisation is judged by.
+    """
+    from repro.analysis.seed_baseline import seed_run_pass
+    from repro.core.passes import run_pass, run_pass_reference
+    from repro.core.qrm import QrmScheduler
+
+    geometry = ArrayGeometry.square(size)
+    sides = tuple(
+        Side(name, QrmScheduler(geometry, pass_runner=runner).schedule)
+        for name, runner in (
+            ("vectorized", run_pass),
+            ("reference", run_pass_reference),
+            ("seed", seed_run_pass),
+        )
+    )
+    timings = yield [Block(trials, sides, _loader(geometry, fill, master_seed))]
     return {
-        "size": size,
-        "fill": fill,
-        "trials": timings["vectorized"].n,
-        "vectorized_ms": summary_dict(timings["vectorized"]),
-        "reference_ms": summary_dict(timings["reference"]),
-        "speedup_vs_reference": (
-            timings["reference"].minimum / timings["vectorized"].minimum
-        ),
+        **_reference_fields(size, fill, trials, timings),
+        "seed_ms": summary_dict(timings["seed"]),
+        "speedup_vs_seed": timings["seed"].minimum / timings["vectorized"].minimum,
     }
 
 
-def _interleaved_timings(
-    trials: int,
-    make_input: Callable[[int], object],
-    vectorized: Callable[[object], object],
-    reference: Callable[[object], object],
-) -> dict[str, Summary]:
-    """Time both implementations per trial, vectorised first.
-
-    Interleaving the pair inside each trial makes the speedup ratio
-    robust to slow machine-load drift across the measurement window —
-    back-to-back blocks would charge the drift to whichever side ran
-    second.
-    """
-    vec_ms: list[float] = []
-    ref_ms: list[float] = []
-    for index in range(trials):
-        trial_input = make_input(index)
-        for stage, wall_ms in ((vectorized, vec_ms), (reference, ref_ms)):
-            gc.collect()
-            start = time.perf_counter()
-            stage(trial_input)
-            wall_ms.append((time.perf_counter() - start) * 1e3)
-    return {"vectorized": Summary.of(vec_ms), "reference": Summary.of(ref_ms)}
+def _qrm_line(block: Mapping) -> str:
+    return (
+        f"{block['size']}x{block['size']} hot path: "
+        f"vectorized {block['vectorized_ms']['mean']:.2f} ms, "
+        f"reference {block['reference_ms']['mean']:.2f} ms, "
+        f"seed (pre-vectorisation) {block['seed_ms']['mean']:.2f} ms -> "
+        f"{block['speedup_vs_seed']:.1f}x vs seed, "
+        f"{block['speedup_vs_reference']:.1f}x vs reference"
+    )
 
 
-def measure_repair_speedup(
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the repair stage under both implementations.
+# -- vectorised stages vs their reference oracles ---------------------------
+
+
+def _repair_pair(size: int, fill: float, master_seed: int) -> _Pair:
+    """The repair stage under both implementations.
 
     Repair runs on realistic inputs: each trial's array is first
     compacted by QRM, so the timed defect pattern is the post-compaction
@@ -409,51 +584,16 @@ def measure_repair_speedup(
 
     geometry = ArrayGeometry.square(size)
     scheduler = QrmScheduler(geometry)
-    timings = _interleaved_timings(
-        trials,
-        lambda index: scheduler.schedule(
-            load_uniform(geometry, fill, rng=master_seed + index)
-        ).final,
-        # Repair mutates in place, so each implementation gets a copy.
+    load = _loader(geometry, fill, master_seed)
+    return _Pair(
+        lambda index: scheduler.schedule(load(index)).final,
         lambda array: repair_defects(array.copy()),
         lambda array: repair_defects_reference(array.copy()),
     )
-    return _speedup_block(size, fill, timings)
 
 
-def measure_baseline_speedup(
-    component: str,
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time a scheduler against its registered ``-reference`` oracle.
-
-    Both sides resolve through the algorithm registry — the fast path
-    under ``component`` and the per-command oracle under
-    ``"<component>-reference"`` — so the perf suite measures exactly the
-    pair every other consumer of the registry gets.
-    """
-    geometry = ArrayGeometry.square(size)
-    fast_scheduler = get_algorithm(component, geometry)
-    slow_scheduler = get_algorithm(f"{component}-reference", geometry)
-    timings = _interleaved_timings(
-        trials,
-        lambda index: load_uniform(geometry, fill, rng=master_seed + index),
-        lambda array: fast_scheduler.schedule(array),
-        lambda array: slow_scheduler.schedule(array),
-    )
-    return _speedup_block(size, fill, timings)
-
-
-def measure_guarded_drain_speedup(
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the guarded (pipelined-mode) column pass under both drains.
+def _guarded_drain_pair(size: int, fill: float, master_seed: int) -> _Pair:
+    """The guarded (pipelined-mode) column pass under both drains.
 
     The guarded drain is the paper's pipelined scan mode: the column
     pass analyses the iteration-start snapshot while executing against
@@ -468,39 +608,32 @@ def measure_guarded_drain_speedup(
 
     geometry = ArrayGeometry.square(size)
     frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
+    load = _loader(geometry, fill, master_seed)
 
     def make_input(index: int) -> tuple:
-        array = load_uniform(geometry, fill, rng=master_seed + index)
+        array = load(index)
         snapshot = array.grid.copy()
         run_pass(array, frames, Phase.ROW, scan_source=array.grid)
         return array.grid, snapshot
 
-    def run(pass_runner, trial_input) -> None:
-        live, snapshot = trial_input
-        pass_runner(
-            AtomArray(geometry, live),  # AtomArray copies on ingest
-            frames,
-            Phase.COLUMN,
-            scan_source=snapshot,
-            guard=True,
-        )
+    def column_pass(pass_runner) -> Callable[[tuple], None]:
+        def run(trial_input: tuple) -> None:
+            live, snapshot = trial_input
+            pass_runner(
+                AtomArray(geometry, live),  # AtomArray copies on ingest
+                frames,
+                Phase.COLUMN,
+                scan_source=snapshot,
+                guard=True,
+            )
 
-    timings = _interleaved_timings(
-        trials,
-        make_input,
-        lambda trial_input: run(run_pass, trial_input),
-        lambda trial_input: run(run_pass_reference, trial_input),
-    )
-    return _speedup_block(size, fill, timings)
+        return run
+
+    return _Pair(make_input, column_pass(run_pass), column_pass(run_pass_reference))
 
 
-def measure_masked_qrm_speedup(
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the masked QRM+repair path under both implementations.
+def _masked_qrm_pair(size: int, fill: float, master_seed: int) -> _Pair:
+    """The masked QRM+repair path under both implementations.
 
     The scenario is a ring target (outer radius ``0.35 * size``, inner
     ``0.15 * size``) with mask-derived per-line scan limits
@@ -530,26 +663,42 @@ def measure_masked_qrm_speedup(
         QrmParameters(scan_limit=MASK_SCAN_LIMIT),
         pass_runner=run_pass_reference,
     )
-    timings = _interleaved_timings(
-        trials,
-        lambda index: load_uniform(geometry, fill, rng=master_seed + index),
-        lambda array: fast.schedule(array),
+    return _Pair(
+        _loader(geometry, fill, master_seed),
+        fast.schedule,
         lambda array: repair_defects_reference(slow.schedule(array).final.copy()),
+        {
+            "mask": f"ring(outer={outer:g},inner={inner:g})",
+            "mask_sites": int(mask.n_sites),
+        },
     )
-    block = _speedup_block(size, fill, timings)
-    block["mask"] = f"ring(outer={outer:g},inner={inner:g})"
-    block["mask_sites"] = int(mask.n_sites)
-    return block
 
 
-def measure_batched_qrm_speedup(
-    size: int = 64,
-    fill: float = 0.5,
-    batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the cross-trial batched QRM engine against serial scheduling.
+def _registry_pair(name: str) -> Component:
+    """A scheduler timed against its registered ``-reference`` oracle.
+
+    Both sides resolve through the algorithm registry — the fast path
+    under ``name`` and the per-command oracle under
+    ``"<name>-reference"`` — so the perf suite measures exactly the pair
+    every other consumer of the registry gets.
+    """
+
+    def pair(size: int, fill: float, master_seed: int) -> _Pair:
+        geometry = ArrayGeometry.square(size)
+        return _Pair(
+            _loader(geometry, fill, master_seed),
+            get_algorithm(name, geometry).schedule,
+            get_algorithm(f"{name}-reference", geometry).schedule,
+        )
+
+    return _versus_reference(name, pair)
+
+
+# -- batched_qrm ------------------------------------------------------------
+
+
+def _batched_qrm_setup(size: int, fill: float, trials: int, master_seed: int) -> Setup:
+    """The cross-trial batched QRM engine against serial scheduling.
 
     Measures the *steady state*: one :class:`~repro.core.batch.
     BatchQrmScheduler` and one serial :class:`~repro.core.qrm.
@@ -559,17 +708,9 @@ def measure_batched_qrm_speedup(
     starts.  Batch sizes are timed smallest-first in isolated blocks —
     a 128-trial stack's result churn evicts enough cache to poison an
     adjacent small-batch repeat — with a serial repeat interleaved into
-    every block and an explicit GC sweep before each timed region.
-    The whole sweep runs twice and ratios come from the pooled minima
-    on both sides (2 x ``trials`` samples per batch size, spread over
-    two well-separated moments) — the same best-of noise-suppression
-    convention as the campaign's timing cells: the analysis is
-    deterministic, so repeats discard nothing but jitter.
-
-    Returns ``{"size", "fill", "trials", "single_ms": summary,
-    "batches": [{"batch_size", "amortized_ms": summary,
-    "speedup_vs_single"}, ...]}`` — amortised ms is whole-batch wall
-    time divided by the batch size.
+    every block.  The analysis is deterministic, so repeats discard
+    nothing but jitter.  Amortised ms is whole-batch wall time divided
+    by the batch size.
     """
     from repro.core.batch import BatchQrmScheduler
     from repro.core.qrm import QrmScheduler
@@ -577,77 +718,107 @@ def measure_batched_qrm_speedup(
     geometry = ArrayGeometry.square(size)
     serial = QrmScheduler(geometry)
     batched = BatchQrmScheduler(geometry)
-    n_max = max(batch_sizes)
-    arrays = [
-        load_uniform(geometry, fill, rng=master_seed + index)
-        for index in range(n_max)
-    ]
+    n_max = max(DEFAULT_BATCH_SIZES)
+    load = _loader(geometry, fill, master_seed)
+    arrays = [load(index) for index in range(n_max)]
 
     # Warm-up: populate the move interner and touch both code paths
     # before timing anything.
     batched.schedule_batch(arrays[:1])
     serial.schedule(arrays[0])
 
-    single_ms: list[float] = []
-    amortized_ms: dict[int, list[float]] = {n: [] for n in batch_sizes}
-    # Two full sweeps: each batch size's minimum pools samples from two
-    # well-separated moments, so one transient disturbance (a daemon
-    # waking mid-block) cannot inflate every repeat of a batch size.
-    for _ in range(2):
-        for n in sorted(batch_sizes):
-            # Re-establish this batch size's steady-state footprint
-            # before its timed repeats (the previous block's differs).
-            batched.schedule_batch(arrays[:n])
-            for index in range(trials):
-                gc.collect()
-                start = time.perf_counter()
-                serial.schedule(arrays[index % n_max])
-                single_ms.append((time.perf_counter() - start) * 1e3)
-                gc.collect()
-                start = time.perf_counter()
-                batched.schedule_batch(arrays[:n])
-                amortized_ms[n].append((time.perf_counter() - start) * 1e3 / n)
+    single = Side("single", lambda index: serial.schedule(arrays[index % n_max]))
 
-    single = Summary.of(single_ms)
-    batches = []
-    for n in batch_sizes:
-        amortized = Summary.of(amortized_ms[n])
-        batches.append(
-            {
-                "batch_size": n,
-                "amortized_ms": summary_dict(amortized),
-                "speedup_vs_single": single.minimum / amortized.minimum,
-            }
-        )
+    def batch_block(n: int) -> Block:
+        def run(_: int) -> list:
+            return batched.schedule_batch(arrays[:n])
+
+        # ``prepare`` re-establishes this batch size's steady-state
+        # footprint before its timed repeats (the previous block's
+        # differs).
+        amortised = Side(n, run, sample=lambda _, wall_ms: wall_ms / n)
+        return Block(trials, (single, amortised), prepare=lambda: run(0))
+
+    timings = yield [batch_block(n) for n in sorted(DEFAULT_BATCH_SIZES)]
     return {
         "size": size,
         "fill": fill,
         "trials": trials,
-        "single_ms": summary_dict(single),
-        "batches": batches,
+        "single_ms": summary_dict(timings["single"]),
+        "batches": [
+            {
+                "batch_size": n,
+                "amortized_ms": summary_dict(timings[n]),
+                "speedup_vs_single": timings["single"].minimum / timings[n].minimum,
+            }
+            for n in DEFAULT_BATCH_SIZES
+        ],
     }
 
 
-def measure_service_latency(
-    size: int = 64,
-    fill: float = 0.5,
-    concurrencies: Sequence[int] = DEFAULT_SERVICE_CONCURRENCIES,
-    requests_per_client: int = 8,
-    master_seed: int = 0,
-    batch_window: float = 0.002,
-    max_batch_size: int = 32,
-) -> dict:
-    """Time closed-loop scheduling requests through the service.
+def _batched_qrm_line(block: Mapping) -> str:
+    per_batch = ", ".join(
+        f"B={b['batch_size']}: {b['amortized_ms']['mean']:.2f} ms "
+        f"({b['speedup_vs_single']:.1f}x)"
+        for b in block["batches"]
+    )
+    return (
+        f"{block['size']}x{block['size']}: "
+        f"single {block['single_ms']['mean']:.2f} ms/trial; "
+        f"amortised {per_batch}"
+    )
+
+
+# -- service_latency --------------------------------------------------------
+
+
+def _arm_round(clients: Sequence, arrays: Sequence, key: Any):
+    """Start one closed-loop round: every client fires its requests back
+    to back, recording per-request latency.
+
+    The client threads start parked on a barrier; the returned
+    ``release`` lets them go and joins them, so the timed region is only
+    the round itself.  Returns ``(release, per-client latency lists)``.
+    """
+    import threading
+
+    latencies: list[list[float]] = [[] for _ in clients]
+    barrier = threading.Barrier(len(clients) + 1)
+
+    def fire(w: int, client) -> None:
+        barrier.wait()
+        for array in arrays[w]:
+            start = time.perf_counter()
+            client.schedule(key, array)
+            latencies[w].append((time.perf_counter() - start) * 1e3)
+
+    threads = [
+        threading.Thread(target=fire, args=(w, client), daemon=True)
+        for w, client in enumerate(clients)
+    ]
+    for thread in threads:
+        thread.start()
+
+    def release() -> None:
+        barrier.wait()
+        for thread in threads:
+            thread.join()
+
+    return release, latencies
+
+
+def _service_latency_setup(
+    size: int, fill: float, trials: int, master_seed: int
+) -> Setup:
+    """Closed-loop scheduling requests through the service.
 
     For each concurrency level two servers run side by side — one with
     micro-batching off (``max_batch_size=1``), one with the production
     window — and that many closed-loop client threads each fire
-    ``requests_per_client`` sequential QRM requests per round, recording
+    ``max(trials, 3)`` sequential QRM requests per round, recording
     per-request latency.  Rounds alternate unbatched/batched inside each
-    of two sweeps (drift never lands on one side only, per the
-    interleaving convention above), with an unmeasured warm-up request
-    per client so scheduler caches and connections are hot, and a GC
-    sweep before every timed round.
+    sweep, with an unmeasured warm-up request per client so scheduler
+    caches and connections are hot.
 
     Percentiles pool both sweeps' latencies; the amortised per-request
     cost is the *minimum* round wall over the sweeps divided by the
@@ -660,10 +831,9 @@ def measure_service_latency(
     throughput trade — which is why the regression gate only pins the
     highest measured concurrency.
     """
-    import threading
-
     from repro.service import SchedulerKey, ServiceClient, serve_in_thread
 
+    requests = max(trials, 3)
     geometry = ArrayGeometry.square(size)
     key = SchedulerKey(
         geometry=(
@@ -674,63 +844,38 @@ def measure_service_latency(
         )
     )
     entries = []
-    for clients_n in sorted(concurrencies):
+    for clients_n in sorted(DEFAULT_SERVICE_CONCURRENCIES):
         arrays = [
             [
                 load_uniform(geometry, fill, rng=master_seed + 1000 * w + index)
-                for index in range(requests_per_client)
+                for index in range(requests)
             ]
             for w in range(clients_n)
         ]
-
-        def run_round(client_pool: list) -> tuple[list[float], float]:
-            latencies: list[list[float]] = [[] for _ in client_pool]
-            barrier = threading.Barrier(len(client_pool) + 1)
-
-            def worker(w: int, client) -> None:
-                barrier.wait()
-                for array in arrays[w]:
-                    start = time.perf_counter()
-                    client.schedule(key, array)
-                    latencies[w].append((time.perf_counter() - start) * 1e3)
-
-            threads = [
-                threading.Thread(target=worker, args=(w, client), daemon=True)
-                for w, client in enumerate(client_pool)
-            ]
-            for thread in threads:
-                thread.start()
-            gc.collect()
-            barrier.wait()
-            start = time.perf_counter()
-            for thread in threads:
-                thread.join()
-            wall_ms = (time.perf_counter() - start) * 1e3
-            return [sample for per in latencies for sample in per], wall_ms
-
         with serve_in_thread(max_batch_size=1) as off_server, serve_in_thread(
-            batch_window=batch_window, max_batch_size=max_batch_size
+            batch_window=SERVICE_BATCH_WINDOW_S, max_batch_size=SERVICE_MAX_BATCH_SIZE
         ) as on_server:
             pool = {
-                name: [
-                    ServiceClient(server.address) for _ in range(clients_n)
-                ]
-                for name, server in (
-                    ("unbatched", off_server),
-                    ("batched", on_server),
-                )
+                name: [ServiceClient(server.address) for _ in range(clients_n)]
+                for name, server in (("unbatched", off_server), ("batched", on_server))
             }
+            latencies: dict[str, list] = {name: [] for name in pool}
+
+            def round_block(name: str) -> Block:
+                def arm(_: int) -> Callable[[], None]:
+                    release, per_client = _arm_round(pool[name], arrays, key)
+                    latencies[name].extend(per_client)
+                    return release
+
+                return Block(1, (Side(name, lambda release: release()),), arm)
+
             try:
                 for clients in pool.values():
                     for w, client in enumerate(clients):
                         client.schedule(key, arrays[w][0])  # warm-up
-                pooled: dict[str, list[float]] = {name: [] for name in pool}
-                walls: dict[str, list[float]] = {name: [] for name in pool}
-                for _ in range(2):
-                    for name in ("unbatched", "batched"):
-                        samples, wall_ms = run_round(pool[name])
-                        pooled[name].extend(samples)
-                        walls[name].append(wall_ms)
+                # One block per mode, unbatched first: each round's client
+                # threads start just before its GC sweep and timed release.
+                timings = yield [round_block(name) for name in pool]
             finally:
                 for clients in pool.values():
                     for client in clients:
@@ -738,8 +883,8 @@ def measure_service_latency(
 
         modes = {}
         for name in pool:
-            samples = np.asarray(pooled[name])
-            amortized = min(walls[name]) / (clients_n * requests_per_client)
+            samples = np.concatenate(latencies[name])
+            amortized = timings[name].minimum / (clients_n * requests)
             modes[name] = {
                 "requests": int(samples.size),
                 "p50_ms": float(np.percentile(samples, 50)),
@@ -762,30 +907,43 @@ def measure_service_latency(
     return {
         "size": size,
         "fill": fill,
-        "trials": requests_per_client,
-        "batch_window_ms": batch_window * 1e3,
-        "max_batch_size": max_batch_size,
+        "trials": requests,
+        "batch_window_ms": SERVICE_BATCH_WINDOW_S * 1e3,
+        "max_batch_size": SERVICE_MAX_BATCH_SIZE,
         "concurrency": entries,
     }
 
 
-def measure_pipeline_latency(
-    size: int = 64,
-    fill: float = 0.5,
-    shots: int = 4,
-    cycles: int = 2,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the closed-loop pipeline, sequential vs stage-pipelined.
+def _service_latency_line(block: Mapping) -> str:
+    per_level = "; ".join(
+        f"c={e['clients']}: p50 "
+        f"{e['unbatched']['p50_ms']:.2f}->{e['batched']['p50_ms']:.2f} ms, p99 "
+        f"{e['unbatched']['p99_ms']:.2f}->{e['batched']['p99_ms']:.2f} ms, "
+        f"{e['speedup_batched']:.2f}x amortised"
+        for e in block["concurrency"]
+    )
+    return (
+        f"{block['size']}x{block['size']} (unbatched->batched, window "
+        f"{block['batch_window_ms']:g} ms): {per_level}"
+    )
+
+
+# -- pipeline_latency -------------------------------------------------------
+
+
+def _pipeline_latency_setup(
+    size: int, fill: float, trials: int, master_seed: int
+) -> Setup:
+    """The closed-loop pipeline, sequential vs stage-pipelined.
 
     Each trial runs the full camera -> detect -> schedule -> AWG ->
-    replay loop (``shots`` arrays, up to ``cycles`` repair cycles each,
-    default loss model) once per mode, interleaved sequential-first and
-    GC-swept per the convention above, over two sweeps so the minima
-    pool well-separated moments.  Every run's deterministic trace is
-    checked against the warm-up digest — a drifting mode fails the
-    bench loudly rather than recording a timing for wrong results.
+    replay loop (:data:`PIPELINE_SHOTS` arrays, up to
+    :data:`PIPELINE_CYCLES` repair cycles each, default loss model) once
+    per mode, sequential first, timed by the run's own clock
+    (``report.wall_us``, which excludes scheduler construction).  Every
+    run's deterministic trace is checked against the warm-up digest — a
+    drifting mode fails the bench loudly rather than recording a timing
+    for wrong results.
 
     ``overlap_speedup`` is the ratio of best-of wall minima (sequential
     / pipelined).  On a single-core box it sits near (or below) 1: the
@@ -801,86 +959,182 @@ def measure_pipeline_latency(
     config = PipelineConfig(
         size=size,
         fill=fill,
-        shots=shots,
-        cycles=cycles,
+        shots=PIPELINE_SHOTS,
+        cycles=PIPELINE_CYCLES,
         master_seed=master_seed,
         loss=LossModel(),
     )
     # Warm-up (unmeasured): imports, scheduler caches, and the trace
     # digest every timed run must reproduce.
     digest = run_pipeline(config, "sequential").trace_digest()
+    reports = []
 
-    wall_ms: dict[str, list[float]] = {"sequential": [], "pipelined": []}
-    best_stages: list[dict] | None = None
-    best_wall = float("inf")
-    for _ in range(2):
-        for _ in range(trials):
-            for mode in ("sequential", "pipelined"):
-                gc.collect()
-                result = run_pipeline(config, mode)
-                if result.trace_digest() != digest:
-                    raise ValueError(
-                        f"pipeline {mode} mode diverged from the warm-up "
-                        f"trace while benchmarking"
-                    )
-                wall = result.report.wall_us / 1e3
-                wall_ms[mode].append(wall)
-                if mode == "sequential" and wall < best_wall:
-                    best_wall = wall
-                    best_stages = result.report.to_dict()["stages"]
+    def side(mode: str) -> Side:
+        def run(_: int):
+            result = run_pipeline(config, mode)
+            if result.trace_digest() != digest:
+                raise ValueError(
+                    f"pipeline {mode} mode diverged from the warm-up "
+                    f"trace while benchmarking"
+                )
+            if mode == "sequential":
+                reports.append(result.report)
+            return result
 
-    timings = {mode: Summary.of(samples) for mode, samples in wall_ms.items()}
+        return Side(mode, run, sample=lambda result, _: result.report.wall_us / 1e3)
+
+    timings = yield [Block(trials, (side("sequential"), side("pipelined")))]
+    best = min(reports, key=lambda report: report.wall_us)
     return {
         "size": size,
         "fill": fill,
         "trials": trials,
-        "shots": shots,
-        "cycles": cycles,
+        "shots": PIPELINE_SHOTS,
+        "cycles": PIPELINE_CYCLES,
         "sequential_ms": summary_dict(timings["sequential"]),
         "pipelined_ms": summary_dict(timings["pipelined"]),
         "overlap_speedup": (
             timings["sequential"].minimum / timings["pipelined"].minimum
         ),
         "trace_digest": digest,
-        "stages": best_stages or [],
+        "stages": best.to_dict()["stages"],
     }
 
 
-def measure_component_speedups(
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict[str, dict]:
-    """All per-component before/after blocks (:data:`COMPONENT_NAMES`)."""
-    # The batched and service blocks are timed first: the reference
-    # oracles timed below (mta1's in particular) churn through enough
-    # allocation to fragment the heap and depress batched throughput
-    # measured after them, and their ratios feed CI regression gates.
-    batched = measure_batched_qrm_speedup(
-        size=size, fill=fill, trials=trials, master_seed=master_seed
+def _pipeline_latency_line(block: Mapping) -> str:
+    return (
+        f"{block['size']}x{block['size']} "
+        f"({block['shots']} shots x <= {block['cycles']} cycles): "
+        f"sequential {block['sequential_ms']['mean']:.2f} ms, "
+        f"pipelined {block['pipelined_ms']['mean']:.2f} ms -> "
+        f"{block['overlap_speedup']:.2f}x overlap"
     )
-    service = measure_service_latency(
-        size=size,
-        fill=fill,
-        requests_per_client=max(trials, 3),
-        master_seed=master_seed,
-    )
-    blocks = {
-        "repair": measure_repair_speedup(size, fill, trials, master_seed),
-        "guarded_drain": measure_guarded_drain_speedup(size, fill, trials, master_seed),
-        "masked_qrm": measure_masked_qrm_speedup(size, fill, trials, master_seed),
-    }
-    for component in ("tetris", "psca", "mta1"):
-        blocks[component] = measure_baseline_speedup(
-            component, size, fill, trials, master_seed
-        )
-    blocks["batched_qrm"] = batched
-    blocks["service_latency"] = service
-    blocks["pipeline_latency"] = measure_pipeline_latency(
-        size=size, fill=fill, trials=trials, master_seed=master_seed
-    )
-    return blocks
+
+
+# -- the declarations -------------------------------------------------------
+
+#: The QRM hot-path block (``speedup`` in the JSON layout).  It and the
+#: subsystem pairs run two sweeps; the reference-oracle pairs run one —
+#: the mta1 reference alone takes seconds per call at 64x64.
+QRM_SPEEDUP = Component(
+    "qrm",
+    _qrm_setup,
+    {**_VS_REFERENCE_SCHEMA, "seed_ms": _summary, "speedup_vs_seed": _positive},
+    (Ratio("speedup_vs_seed"), _VS_REFERENCE),
+    _qrm_line,
+    sweeps=2,
+)
+
+#: The per-component blocks (``component_speedups``), in measurement
+#: order.  ``batched_qrm`` and ``service_latency`` run first: the
+#: reference oracles after them (mta1's in particular) churn through
+#: enough allocation to fragment the heap and depress batched throughput
+#: measured later, and their ratios feed CI regression gates.
+COMPONENTS: tuple[Component, ...] = (
+    Component(
+        "batched_qrm",
+        _batched_qrm_setup,
+        {
+            **_CASE_SCHEMA,
+            "single_ms": _summary,
+            "batches": _records(
+                {
+                    "batch_size": _positive_int,
+                    "amortized_ms": _summary,
+                    "speedup_vs_single": _positive,
+                }
+            ),
+        },
+        (Ratio("speedup_vs_single", "batches", by="batch_size", tag="B"),),
+        _batched_qrm_line,
+        sweeps=2,
+    ),
+    Component(
+        "service_latency",
+        _service_latency_setup,
+        {
+            **_CASE_SCHEMA,
+            "batch_window_ms": None,
+            "max_batch_size": None,
+            "concurrency": _records(
+                {
+                    "clients": _positive_int,
+                    "unbatched": _latency_mode,
+                    "batched": _latency_mode,
+                    "speedup_batched": _positive,
+                }
+            ),
+        },
+        # Low-concurrency ratios are dominated by the batch window (an
+        # intentional latency-for-throughput trade), so they wobble with
+        # the window/schedule-time ratio rather than signal a regression.
+        (
+            Ratio(
+                "speedup_batched",
+                "concurrency",
+                by="clients",
+                tag="c",
+                highest_only=True,
+            ),
+        ),
+        _service_latency_line,
+        sweeps=2,
+    ),
+    _versus_reference("repair", _repair_pair),
+    _versus_reference("guarded_drain", _guarded_drain_pair),
+    _versus_reference(
+        "masked_qrm",
+        _masked_qrm_pair,
+        {"mask": _text, "mask_sites": _positive_int},
+        lambda block: _versus_reference_line(block, f" {block['mask']}"),
+    ),
+    _registry_pair("tetris"),
+    _registry_pair("psca"),
+    _registry_pair("mta1"),
+    Component(
+        "pipeline_latency",
+        _pipeline_latency_setup,
+        {
+            **_CASE_SCHEMA,
+            "shots": None,
+            "cycles": None,
+            "sequential_ms": _summary,
+            "pipelined_ms": _summary,
+            "overlap_speedup": _positive,
+            "trace_digest": _sha256,
+            "stages": _records(
+                {
+                    "stage": _text,
+                    "n_calls": _number,
+                    "total_us": _number,
+                    "mean_us": _number,
+                }
+            ),
+        },
+        # On a single-core runner the overlap hovers near 1 (Python
+        # threads buy no overlap without idle cores); the gate only
+        # catches it slipping below the committed baseline's ratio.
+        (Ratio("overlap_speedup"),),
+        _pipeline_latency_line,
+        sweeps=2,
+    ),
+)
+
+#: Names of the per-component blocks, in measurement order.
+COMPONENT_NAMES = tuple(component.name for component in COMPONENTS)
+
+_DECLARED = {c.name: c for c in (QRM_SPEEDUP, *COMPONENTS)}
+
+
+def component_blocks(
+    payload: Mapping,
+) -> Iterator[tuple[Component, str, Mapping | None]]:
+    """``(component, JSON path, block or None)`` for every declaration."""
+    yield QRM_SPEEDUP, "speedup", payload.get("speedup")
+    measured = payload.get("component_speedups") or {}
+    for component in COMPONENTS:
+        path = f"component_speedups[{component.name!r}]"
+        yield component, path, measured.get(component.name)
 
 
 def run_perf_suite(
@@ -889,61 +1143,34 @@ def run_perf_suite(
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     trials: int = 3,
     master_seed: int = 0,
-    size_caps: dict[str, int] | None = None,
     speedup_size: int | None = 64,
     observer: Callable[[str], None] | None = None,
 ) -> PerfReport:
     """Time schedule construction over the benchmark grid.
 
-    ``size_caps`` bounds slow schedulers (default :data:`SIZE_CAPS`,
-    now empty); capped cases land in the report's ``skipped`` list.
-    With ``speedup_size`` set, the QRM before/after speedup block *and*
-    the per-component blocks (:data:`COMPONENT_NAMES`) are measured at
-    that size (``None`` skips them, e.g. in CI smoke mode).
+    With ``speedup_size`` set, every declared component block is
+    measured at that size (``None`` skips them, e.g. in CI smoke mode).
     """
-    caps = SIZE_CAPS if size_caps is None else size_caps
     report = PerfReport(master_seed=master_seed, trials=trials)
     for algorithm in algorithms:
         for size in sizes:
-            cap = caps.get(algorithm)
-            if cap is not None and size > cap:
-                report.skipped.append(
-                    {
-                        "algorithm": algorithm,
-                        "size": size,
-                        "reason": f"size above cap {cap} "
-                        f"(pass size_caps={{}} to include)",
-                    }
-                )
-                continue
             for fill in fills:
                 case = BenchCase(algorithm=algorithm, size=size, fill=fill)
                 if observer is not None:
                     observer(case.label())
                 wall_ms, moves = _time_schedules(
-                    lambda geo, name=algorithm: get_algorithm(name, geo),
-                    size,
-                    fill,
-                    trials,
-                    master_seed,
+                    algorithm, size, fill, trials, master_seed
                 )
                 report.records.append(
                     BenchRecord(case=case, wall_ms=wall_ms, moves=moves)
                 )
     if speedup_size is not None:
-        if observer is not None:
-            observer(f"qrm speedup block at {speedup_size}x{speedup_size}")
-        report.speedup = measure_qrm_speedup(
-            size=speedup_size, trials=trials, master_seed=master_seed
-        )
-        if observer is not None:
-            observer(
-                f"component speedups at {speedup_size}x{speedup_size} "
-                f"({', '.join(COMPONENT_NAMES)})"
+        for name in _DECLARED:
+            if observer is not None:
+                observer(f"{name} speedup block at {speedup_size}x{speedup_size}")
+            report.blocks[name] = measure(
+                name, size=speedup_size, trials=trials, master_seed=master_seed
             )
-        report.component_speedups = measure_component_speedups(
-            size=speedup_size, trials=trials, master_seed=master_seed
-        )
     return report
 
 
@@ -951,150 +1178,14 @@ def run_perf_suite(
 # Schema validation
 # ---------------------------------------------------------------------------
 
-_SUMMARY_KEYS = ("mean", "std", "min", "max")
-_ENTRY_KEYS = ("algorithm", "size", "fill", "trials", "wall_ms", "moves")
-_SPEEDUP_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "vectorized_ms",
-    "reference_ms",
-    "seed_ms",
-    "speedup_vs_seed",
-    "speedup_vs_reference",
-)
-_COMPONENT_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "vectorized_ms",
-    "reference_ms",
-    "speedup_vs_reference",
-)
-_BATCHED_KEYS = ("size", "fill", "trials", "single_ms", "batches")
-_PIPELINE_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "shots",
-    "cycles",
-    "sequential_ms",
-    "pipelined_ms",
-    "overlap_speedup",
-    "trace_digest",
-    "stages",
-)
-_SERVICE_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "batch_window_ms",
-    "max_batch_size",
-    "concurrency",
-)
-_SERVICE_MODE_KEYS = (
-    "requests",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "amortized_ms",
-    "throughput_rps",
-)
-
-
-def _check_service_block(block: dict) -> None:
-    """Validate the ``service_latency`` component's concurrency sweep."""
-    context = "component_speedups['service_latency']"
-    for key in _SERVICE_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    levels = block["concurrency"]
-    if not isinstance(levels, list) or not levels:
-        raise ValueError(f"{context}.concurrency must be a non-empty list")
-    for index, entry in enumerate(levels):
-        entry_context = f"{context}.concurrency[{index}]"
-        for key in ("clients", "unbatched", "batched", "speedup_batched"):
-            if key not in entry:
-                raise ValueError(f"{entry_context} missing {key!r}")
-        if not isinstance(entry["clients"], int) or entry["clients"] < 1:
-            raise ValueError(f"{entry_context}.clients must be a positive int")
-        for mode in ("unbatched", "batched"):
-            mode_block = entry[mode]
-            mode_context = f"{entry_context}.{mode}"
-            for key in _SERVICE_MODE_KEYS:
-                if not isinstance(mode_block.get(key), (int, float)):
-                    raise ValueError(
-                        f"{mode_context}.{key} missing or non-numeric"
-                    )
-            if not (
-                mode_block["p50_ms"]
-                <= mode_block["p95_ms"]
-                <= mode_block["p99_ms"]
-            ):
-                raise ValueError(
-                    f"{mode_context}: p50 <= p95 <= p99 violated"
-                )
-            if mode_block["amortized_ms"] <= 0:
-                raise ValueError(
-                    f"{mode_context}.amortized_ms must be positive"
-                )
-        if entry["speedup_batched"] <= 0:
-            raise ValueError(f"{entry_context}.speedup_batched must be positive")
-
-
-def _check_pipeline_block(block: dict) -> None:
-    """Validate the ``pipeline_latency`` component's shape."""
-    context = "component_speedups['pipeline_latency']"
-    for key in _PIPELINE_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    for key in ("sequential_ms", "pipelined_ms"):
-        _check_summary(block[key], f"{context}.{key}")
-    if block["overlap_speedup"] <= 0:
-        raise ValueError(f"{context}.overlap_speedup must be positive")
-    digest = block["trace_digest"]
-    if not isinstance(digest, str) or len(digest) != 64:
-        raise ValueError(f"{context}.trace_digest must be a sha256 hex digest")
-    stages = block["stages"]
-    if not isinstance(stages, list) or not stages:
-        raise ValueError(f"{context}.stages must be a non-empty list")
-    for index, stage in enumerate(stages):
-        stage_context = f"{context}.stages[{index}]"
-        if not isinstance(stage.get("stage"), str):
-            raise ValueError(f"{stage_context}.stage missing or non-string")
-        for key in ("n_calls", "total_us", "mean_us"):
-            if not isinstance(stage.get(key), (int, float)):
-                raise ValueError(f"{stage_context}.{key} missing or non-numeric")
-
-
-def _check_batched_block(block: dict) -> None:
-    """Validate the ``batched_qrm`` component's batch-sweep shape."""
-    context = "component_speedups['batched_qrm']"
-    for key in _BATCHED_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    _check_summary(block["single_ms"], f"{context}.single_ms")
-    batches = block["batches"]
-    if not isinstance(batches, list) or not batches:
-        raise ValueError(f"{context}.batches must be a non-empty list")
-    for index, entry in enumerate(batches):
-        entry_context = f"{context}.batches[{index}]"
-        for key in ("batch_size", "amortized_ms", "speedup_vs_single"):
-            if key not in entry:
-                raise ValueError(f"{entry_context} missing {key!r}")
-        if not isinstance(entry["batch_size"], int) or entry["batch_size"] < 1:
-            raise ValueError(f"{entry_context}.batch_size must be a positive int")
-        _check_summary(entry["amortized_ms"], f"{entry_context}.amortized_ms")
-        if entry["speedup_vs_single"] <= 0:
-            raise ValueError(f"{entry_context}.speedup_vs_single must be positive")
-
-
-def _check_summary(block: dict, context: str) -> None:
-    for key in _SUMMARY_KEYS:
-        if not isinstance(block.get(key), (int, float)):
-            raise ValueError(f"{context}.{key} missing or non-numeric")
-    if not block["min"] <= block["mean"] <= block["max"]:
-        raise ValueError(f"{context}: min <= mean <= max violated")
+_ENTRY_SCHEMA = {
+    "algorithm": None,
+    "size": None,
+    "fill": None,
+    "trials": _positive_int,
+    "wall_ms": _summary,
+    "moves": _summary,
+}
 
 
 def validate_bench_report(payload: dict) -> None:
@@ -1103,9 +1194,9 @@ def validate_bench_report(payload: dict) -> None:
     This is the machine-checked contract behind ``BENCH_*.json``: the
     schema version is pinned, every entry carries the summary keys with
     coherent min/mean/max, trial counts are positive and uniform across
-    entries, and the speedup blocks (QRM and per-component) expose their
-    ratio keys.  ``tests/test_bench_schema.py`` holds both the committed
-    artefact and freshly generated reports to it.
+    entries, and every component block matches its declared schema.
+    ``tests/test_bench_schema.py`` holds both the committed artefact and
+    freshly generated reports to it.
     """
     if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
         raise ValueError(
@@ -1115,80 +1206,32 @@ def validate_bench_report(payload: dict) -> None:
     for key in ("master_seed", "trials", "environment", "entries", "skipped"):
         if key not in payload:
             raise ValueError(f"missing top-level key {key!r}")
-    if not isinstance(payload["trials"], int) or payload["trials"] < 1:
-        raise ValueError(f"trials must be a positive int, got {payload['trials']!r}")
+    _positive_int(payload["trials"], "trials")
 
-    entries = payload["entries"]
-    for index, entry in enumerate(entries):
+    for index, entry in enumerate(payload["entries"]):
         context = f"entries[{index}]"
-        for key in _ENTRY_KEYS:
-            if key not in entry:
-                raise ValueError(f"{context} missing key {key!r}")
-        if not isinstance(entry["trials"], int) or entry["trials"] < 1:
-            raise ValueError(f"{context}.trials must be a positive int")
+        _check_record(entry, _ENTRY_SCHEMA, context)
         if entry["trials"] != payload["trials"]:
             raise ValueError(
                 f"{context}.trials {entry['trials']} drifted from the "
                 f"report-level {payload['trials']}"
             )
-        _check_summary(entry["wall_ms"], f"{context}.wall_ms")
-        _check_summary(entry["moves"], f"{context}.moves")
 
-    for skip in payload["skipped"]:
-        for key in ("algorithm", "size", "reason"):
-            if key not in skip:
-                raise ValueError(f"skipped entry missing key {key!r}")
+    for index, skip in enumerate(payload["skipped"]):
+        _check_record(
+            skip, dict.fromkeys(("algorithm", "size", "reason")), f"skipped[{index}]"
+        )
 
-    speedup = payload.get("speedup")
-    if speedup is not None:
-        for key in _SPEEDUP_KEYS:
-            if key not in speedup:
-                raise ValueError(f"speedup missing key {key!r}")
-        for key in ("vectorized_ms", "reference_ms", "seed_ms"):
-            _check_summary(speedup[key], f"speedup.{key}")
-        if speedup["speedup_vs_reference"] <= 0:
-            raise ValueError("speedup.speedup_vs_reference must be positive")
-
-    components = payload.get("component_speedups") or {}
-    for name, block in components.items():
-        if name not in COMPONENT_NAMES:
-            raise ValueError(f"unknown component speedup {name!r}")
-        if name == "batched_qrm":
-            _check_batched_block(block)
-            continue
-        if name == "service_latency":
-            _check_service_block(block)
-            continue
-        if name == "pipeline_latency":
-            _check_pipeline_block(block)
-            continue
-        keys = _COMPONENT_KEYS
-        if name == "masked_qrm":
-            keys = keys + ("mask", "mask_sites")
-        for key in keys:
-            if key not in block:
-                raise ValueError(f"component_speedups[{name!r}] missing {key!r}")
-        for key in ("vectorized_ms", "reference_ms"):
-            _check_summary(block[key], f"component_speedups[{name!r}].{key}")
-        if block["speedup_vs_reference"] <= 0:
-            raise ValueError(
-                f"component_speedups[{name!r}].speedup_vs_reference "
-                f"must be positive"
-            )
-        if name == "masked_qrm":
-            if not isinstance(block["mask"], str) or not block["mask"]:
-                raise ValueError(
-                    "component_speedups['masked_qrm'].mask must be a "
-                    "non-empty string"
-                )
-            sites = block["mask_sites"]
-            if not isinstance(sites, int) or sites < 1:
-                raise ValueError(
-                    "component_speedups['masked_qrm'].mask_sites must be "
-                    "a positive int"
-                )
-    if speedup is not None and set(components) != set(COMPONENT_NAMES):
+    unknown = set(payload.get("component_speedups") or {}) - set(COMPONENT_NAMES)
+    if unknown:
+        raise ValueError(f"unknown component speedups {sorted(unknown)}")
+    missing = []
+    for component, path, block in component_blocks(payload):
+        if block is None:
+            missing.append(component.name)
+        else:
+            _check_record(block, component.schema, path)
+    if payload.get("speedup") is not None and missing:
         raise ValueError(
-            f"component_speedups {sorted(components)} incomplete; "
-            f"expected {sorted(COMPONENT_NAMES)}"
+            f"component_speedups missing {missing}; expected {list(COMPONENT_NAMES)}"
         )

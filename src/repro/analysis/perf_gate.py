@@ -2,11 +2,12 @@
 
 Raw wall-clock numbers are machine-dependent, so the gate never compares
 milliseconds across reports.  It compares the *dimensionless speedup
-ratios* — vectorised-vs-reference per component, batched-vs-serial per
-batch size, service-batching-on-vs-off at the highest measured client
+ratios* each component declares gated in :mod:`repro.analysis.perf` —
+vectorised-vs-reference per component, batched-vs-serial per batch
+size, service-batching-on-vs-off at the highest measured client
 concurrency, sequential-vs-pipelined for the closed-loop pipeline —
-which are measured interleaved within one run and
-therefore transfer between machines.  A fresh report passes when every
+which are measured interleaved within one run and therefore transfer
+between machines.  A fresh report passes when every
 ratio it shares with the baseline is within ``tolerance`` (default 15%)
 of the baseline's value; blocks present on only one side are skipped,
 because a smoke-grid report legitimately measures fewer cases than the
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.analysis.perf import component_blocks
+
 
 def _slipped(fresh: float, baseline: float, tolerance: float) -> bool:
     """Has ``fresh`` regressed more than ``tolerance`` below ``baseline``?"""
@@ -40,6 +43,14 @@ def _comparable(fresh: Mapping | None, baseline: Mapping | None) -> bool:
     )
 
 
+def _paired(fresh: Mapping, baseline: Mapping):
+    """``(component, JSON path, fresh block, baseline block)`` per declaration."""
+    for (component, path, fresh_block), (_, _, base_block) in zip(
+        component_blocks(fresh), component_blocks(baseline)
+    ):
+        yield component, path, fresh_block, base_block
+
+
 def check_perf_regression(
     fresh: Mapping,
     baseline: Mapping,
@@ -48,94 +59,33 @@ def check_perf_regression(
     """Compare two bench-report payloads; return regression descriptions.
 
     ``fresh`` and ``baseline`` are ``BENCH_*.json`` payloads (the dict
-    shape of :meth:`repro.analysis.perf.PerfReport.to_dict`).  An empty
-    return value means the gate passes.  Each failure string names the
-    ratio, both values, and the allowed floor.
+    shape of :meth:`repro.analysis.perf.PerfReport.to_dict`).  Every
+    component's declared gated ratios (:attr:`repro.analysis.perf.
+    Component.gated`) are compared where both reports measured them.
+    An empty return value means the gate passes.  Each failure string
+    names the ratio, both values, and the allowed floor.
     """
     if not 0 <= tolerance < 1:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     failures: list[str] = []
-
-    def check(label: str, fresh_ratio: float, base_ratio: float) -> None:
-        if _slipped(fresh_ratio, base_ratio, tolerance):
-            floor = base_ratio * (1.0 - tolerance)
-            failures.append(
-                f"{label}: {fresh_ratio:.2f}x < floor {floor:.2f}x "
-                f"(baseline {base_ratio:.2f}x, tolerance {tolerance:.0%})"
-            )
-
-    fresh_speedup = fresh.get("speedup")
-    base_speedup = baseline.get("speedup")
-    if _comparable(fresh_speedup, base_speedup):
-        size = fresh_speedup["size"]
-        for key in ("speedup_vs_seed", "speedup_vs_reference"):
-            check(
-                f"qrm@{size} {key}",
-                fresh_speedup[key],
-                base_speedup[key],
-            )
-
-    fresh_components = fresh.get("component_speedups") or {}
-    base_components = baseline.get("component_speedups") or {}
-    for name in fresh_components.keys() & base_components.keys():
-        fresh_block = fresh_components[name]
-        base_block = base_components[name]
+    for component, _, fresh_block, base_block in _paired(fresh, baseline):
         if not _comparable(fresh_block, base_block):
             continue
-        size = fresh_block["size"]
-        if name == "batched_qrm":
-            base_by_batch = {
-                entry["batch_size"]: entry for entry in base_block["batches"]
-            }
-            for entry in fresh_block["batches"]:
-                base_entry = base_by_batch.get(entry["batch_size"])
-                if base_entry is None:
-                    continue
-                check(
-                    f"batched_qrm@{size} B={entry['batch_size']} "
-                    f"speedup_vs_single",
-                    entry["speedup_vs_single"],
-                    base_entry["speedup_vs_single"],
-                )
-            continue
-        if name == "service_latency":
-            # Only the highest concurrency both reports measured is
-            # pinned: low-concurrency ratios are dominated by the batch
-            # window (an intentional latency-for-throughput trade), so
-            # they wobble with the window/schedule-time ratio rather
-            # than signalling a regression.
-            fresh_by_clients = {
-                entry["clients"]: entry for entry in fresh_block["concurrency"]
-            }
-            base_by_clients = {
-                entry["clients"]: entry for entry in base_block["concurrency"]
-            }
-            shared = fresh_by_clients.keys() & base_by_clients.keys()
-            if not shared:
-                continue
-            clients = max(shared)
-            check(
-                f"service_latency@{size} c={clients} speedup_batched",
-                fresh_by_clients[clients]["speedup_batched"],
-                base_by_clients[clients]["speedup_batched"],
-            )
-            continue
-        if name == "pipeline_latency":
-            # Sequential-vs-pipelined wall ratio of the closed loop.  On
-            # a single-core runner it hovers near 1 (Python threads buy
-            # no overlap without idle cores); the gate only catches it
-            # slipping below the committed baseline's ratio.
-            check(
-                f"pipeline_latency@{size} overlap_speedup",
-                fresh_block["overlap_speedup"],
-                base_block["overlap_speedup"],
-            )
-            continue
-        check(
-            f"{name}@{size} speedup_vs_reference",
-            fresh_block["speedup_vs_reference"],
-            base_block["speedup_vs_reference"],
-        )
+        for ratio in component.gated:
+            fresh_values = ratio.values(fresh_block)
+            base_values = ratio.values(base_block)
+            shared = [label for label in fresh_values if label in base_values]
+            if ratio.highest_only:
+                shared = shared[-1:]
+            for label in shared:
+                fresh_ratio, base_ratio = fresh_values[label], base_values[label]
+                if _slipped(fresh_ratio, base_ratio, tolerance):
+                    floor = base_ratio * (1.0 - tolerance)
+                    failures.append(
+                        f"{component.name}@{fresh_block['size']} {label}: "
+                        f"{fresh_ratio:.2f}x < floor {floor:.2f}x "
+                        f"(baseline {base_ratio:.2f}x, tolerance {tolerance:.0%})"
+                    )
     return failures
 
 
@@ -167,34 +117,23 @@ class GateOutcome:
 
 
 def _skip_notices(fresh: Mapping, baseline: Mapping) -> list[str]:
-    """Why each non-compared block was skipped, in a stable order."""
+    """Why each non-compared block was skipped, in declaration order."""
     notices: list[str] = []
-
-    def explain(label: str, fresh_block, base_block) -> None:
+    for _, path, fresh_block, base_block in _paired(fresh, baseline):
         if fresh_block is None and base_block is None:
-            return
+            continue
         if fresh_block is None:
-            notices.append(f"{label}: in the baseline but not measured here")
+            notices.append(f"{path}: in the baseline but not measured here")
         elif base_block is None:
-            notices.append(f"{label}: measured here but absent from the baseline")
+            notices.append(f"{path}: measured here but absent from the baseline")
         elif not _comparable(fresh_block, base_block):
             notices.append(
-                f"{label}: case mismatch "
+                f"{path}: case mismatch "
                 f"({fresh_block.get('size')}x{fresh_block.get('size')} "
                 f"fill={fresh_block.get('fill')} here vs "
                 f"{base_block.get('size')}x{base_block.get('size')} "
                 f"fill={base_block.get('fill')} in the baseline)"
             )
-
-    explain("qrm speedup", fresh.get("speedup"), baseline.get("speedup"))
-    fresh_components = fresh.get("component_speedups") or {}
-    base_components = baseline.get("component_speedups") or {}
-    for name in sorted(fresh_components.keys() | base_components.keys()):
-        explain(
-            f"component '{name}'",
-            fresh_components.get(name),
-            base_components.get(name),
-        )
     return notices
 
 

@@ -31,7 +31,6 @@ from repro.campaign.executors import (
     EXECUTOR_KINDS,
     AsyncExecutor,
     CampaignExecutor,
-    MultiprocessingExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "InterruptingObserver",
     "JournalReplay",
     "LossSpec",
-    "MultiprocessingExecutor",
     "NullObserver",
     "QrmSpec",
     "RecordingObserver",

@@ -3,16 +3,16 @@
 The engine hands an executor a picklable function and a list of items;
 the executor yields ``(index, result)`` pairs in whatever order the
 trials finish.  The engine re-keys results, so completion order never
-affects aggregates — which is what lets the serial, multiprocessing,
-and async executors produce bit-identical campaign results.
+affects aggregates — which is what lets the serial and process-pool
+executors produce bit-identical campaign results.
 
-Three in-process families live here:
+Two in-process families live here:
 
 * :class:`SerialExecutor` — submission order, no concurrency;
-* :class:`MultiprocessingExecutor` — ``multiprocessing.Pool`` fan-out;
 * :class:`AsyncExecutor` — asyncio-driven process-pool fan-out with a
   bounded number of in-flight trials (backpressure) and cooperative
-  cancellation when the consumer stops iterating.
+  cancellation when the consumer stops iterating.  It serves both the
+  ``process`` and the ``async`` executor kinds.
 
 Multi-host dispatch lives in :mod:`repro.campaign.dispatch` behind the
 same protocol.
@@ -55,57 +55,6 @@ class SerialExecutor:
             yield index, fn(item)
 
 
-def _apply_indexed(payload: tuple[Callable, int, Any]) -> tuple[int, Any]:
-    fn, index, item = payload
-    return index, fn(item)
-
-
-@dataclass
-class MultiprocessingExecutor:
-    """``multiprocessing.Pool``-backed execution.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to the CPU count.  Capped at the number of
-        items so tiny campaigns don't fork idle processes.
-    chunksize:
-        Trials handed to a worker per dispatch.  Larger chunks amortise
-        IPC for cheap trials; 1 balances best for heavy ones.
-    start_method:
-        Forwarded to ``multiprocessing.get_context`` (None = platform
-        default).
-    """
-
-    workers: int | None = None
-    chunksize: int = 1
-    start_method: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {self.chunksize}")
-
-    def run(
-        self, fn: Callable[[T], Any], items: Sequence[T]
-    ) -> Iterator[tuple[int, Any]]:
-        items = list(items)
-        if not items:
-            return
-        workers = self.workers or os.cpu_count() or 1
-        workers = min(workers, len(items))
-        if workers == 1:
-            yield from SerialExecutor().run(fn, items)
-            return
-        context = multiprocessing.get_context(self.start_method)
-        payloads = [(fn, index, item) for index, item in enumerate(items)]
-        with context.Pool(processes=workers) as pool:
-            yield from pool.imap_unordered(
-                _apply_indexed, payloads, chunksize=self.chunksize
-            )
-
-
 @dataclass
 class AsyncExecutor:
     """``asyncio``-driven process-pool fan-out with backpressure.
@@ -120,8 +69,8 @@ class AsyncExecutor:
 
     The synchronous :meth:`run` drives a private event loop so the
     executor slots behind the same :class:`CampaignExecutor` protocol
-    as the serial and multiprocessing executors; async callers can
-    consume :meth:`arun` directly from their own loop.
+    as the serial executor; async callers can consume :meth:`arun`
+    directly from their own loop.
 
     Parameters
     ----------
@@ -207,22 +156,22 @@ class AsyncExecutor:
 
 def make_executor(
     workers: int | str | None,
-    chunksize: int = 1,
     kind: str = "process",
     service_addr: str | tuple[str, int] | None = None,
 ) -> CampaignExecutor:
     """CLI helper mapping ``--workers``/``--executor`` to an executor.
 
-    ``kind`` is one of :data:`EXECUTOR_KINDS`.  For the default
-    ``"process"`` kind, 0/1/None workers degrade to the serial executor
-    (the pre-async CLI behaviour); ``"async"`` always builds an
-    :class:`AsyncExecutor`, whose worker count defaults to the CPU
-    count when ``workers`` is None; ``"service"`` runs trials as
-    clients of a scheduling server (``repro serve``) and requires
-    ``service_addr``; ``"distributed"`` fans trials out across worker
-    endpoints — ``workers`` is then ``"host:port[,host:port...]"``
-    naming running ``repro worker --listen`` daemons, or a count of
-    local subprocess workers to launch.
+    ``kind`` is one of :data:`EXECUTOR_KINDS`.  The default
+    ``"process"`` kind builds an :class:`AsyncExecutor` over ``workers``
+    processes, degrading to the serial executor for 0/1/None workers;
+    ``"async"`` always builds an :class:`AsyncExecutor`, whose worker
+    count defaults to the CPU count when ``workers`` is None;
+    ``"service"`` runs trials as clients of a scheduling server
+    (``repro serve``) and requires ``service_addr``; ``"distributed"``
+    fans trials out across worker endpoints — ``workers`` is then
+    ``"host:port[,host:port...]"`` naming running ``repro worker
+    --listen`` daemons, or a count of local subprocess workers to
+    launch.
     """
     if kind not in EXECUTOR_KINDS:
         raise ConfigurationError(
@@ -258,8 +207,6 @@ def make_executor(
         )
     if kind == "serial":
         return SerialExecutor()
-    if kind == "async":
-        return AsyncExecutor(workers=workers)
-    if workers is None or workers <= 1:
+    if kind == "process" and (workers is None or workers <= 1):
         return SerialExecutor()
-    return MultiprocessingExecutor(workers=workers, chunksize=chunksize)
+    return AsyncExecutor(workers=workers)

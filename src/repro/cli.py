@@ -481,7 +481,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         spec,
         executor=make_executor(
             workers,
-            args.chunksize,
             kind=args.executor,
             service_addr=args.service_addr,
         ),
@@ -706,9 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=["serial", "process", "async", "service", "distributed"],
         default="process",
-        help="execution backend: 'process' (default; serial "
-        "when --workers <= 1), 'async' (asyncio-driven "
-        "pool with bounded in-flight trials), 'serial', "
+        help="execution backend: 'process' (default; a process "
+        "pool with bounded in-flight trials, serial when "
+        "--workers <= 1), 'async' (the same pool, sized to the "
+        "CPU count without --workers), 'serial', "
         "'service' (schedule through a running repro serve "
         "instance; needs --service-addr), or 'distributed' "
         "(fan trials out across worker daemons with "
@@ -721,12 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="address of the scheduling service for "
         "--executor service",
-    )
-    p.add_argument(
-        "--chunksize",
-        type=int,
-        default=1,
-        help="trials dispatched to a worker at a time",
     )
     p.add_argument(
         "--batch-size",

@@ -10,7 +10,7 @@ from repro.core.passes import (
     run_pass_batch,
     run_pass_reference,
 )
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.core.qrm import QrmScheduler
 from repro.core.repair import RepairOutcome, repair_defects
 from repro.core.result import IterationStats, RearrangementResult
 from repro.core.scan import (
@@ -43,7 +43,6 @@ __all__ = [
     "current_hole_position",
     "is_prefix_line",
     "is_young_diagram",
-    "rearrange",
     "repair_defects",
     "run_pass",
     "run_pass_batch",

@@ -21,7 +21,6 @@ target defects with individual atom moves; see :mod:`repro.core.repair`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable
 
 from repro.aod.schedule import MoveSchedule
@@ -192,24 +191,3 @@ class QrmScheduler:
 
         return result
 
-
-def rearrange(
-    array: AtomArray,
-    params: QrmParameters = DEFAULT_QRM_PARAMETERS,
-) -> RearrangementResult:
-    """Deprecated one-call wrapper around :class:`QrmScheduler`.
-
-    .. deprecated::
-        Construct schedulers through the registry instead —
-        ``get_algorithm("qrm", array.geometry)`` — and prefer the batch
-        API (``schedule_batch``) for more than one array.  This shim
-        keeps old call sites working while they migrate.
-    """
-    warnings.warn(
-        "rearrange() is deprecated; resolve the scheduler through "
-        "repro.baselines.get_algorithm('qrm', geometry) and use "
-        "schedule()/schedule_batch() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return QrmScheduler(array.geometry, params).schedule(array)

@@ -357,7 +357,11 @@ class SchedulingService:
         for key, group in groups.items():
             try:
                 scheduler = self.cache.get(key)
-            except ReproError as exc:
+            except Exception as exc:
+                # Any factory failure (e.g. a TypeError from unknown
+                # params) is this group's error, never the dispatcher's:
+                # an escaping exception would end _dispatch_loop and
+                # leave every later request hanging.
                 for request in group:
                     self.stats["errors"] += 1
                     await request.connection.send_error(

@@ -11,7 +11,6 @@ from repro.campaign import (
     AsyncExecutor,
     CampaignSpec,
     ExperimentCampaign,
-    MultiprocessingExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -104,7 +103,10 @@ class TestMakeExecutor:
     def test_kinds(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), MultiprocessingExecutor)
+        # "process" is the same bounded-in-flight pool as "async".
+        pooled = make_executor(4)
+        assert isinstance(pooled, AsyncExecutor)
+        assert pooled.workers == 4
         assert isinstance(make_executor(4, kind="serial"), SerialExecutor)
         fanned = make_executor(4, kind="async")
         assert isinstance(fanned, AsyncExecutor)

@@ -7,9 +7,8 @@ its differential oracle is N independent single-trial
 same iteration statistics, same convergence, same repair.  The suite
 also pins the API redesign around it: the registry's uniform factory
 signature and ``-reference`` keys, the loop fallback of
-:func:`repro.baselines.base.schedule_batch`, the campaign engine's
-batched execution (byte-identical aggregates, shared cache entries),
-and the deprecation shim on :func:`repro.core.qrm.rearrange`.
+:func:`repro.baselines.base.schedule_batch`, and the campaign engine's
+batched execution (byte-identical aggregates, shared cache entries).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.baselines.base import (
 )
 from repro.config import QrmParameters, ScanMode
 from repro.core.batch import BatchQrmScheduler
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.core.qrm import QrmScheduler
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
@@ -254,12 +253,6 @@ class TestRegistryRedesign:
             assert get_algorithm("legacy-test", ArrayGeometry.square(8)) is not None
         finally:
             unregister_algorithm("legacy-test")
-
-    def test_rearrange_is_deprecated(self):
-        array = load_uniform(ArrayGeometry.square(8, 4), 0.5, rng=0)
-        with pytest.deprecated_call():
-            result = rearrange(array)
-        assert result.schedule is not None
 
 
 class TestBatchedCampaign:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
+    AsyncExecutor,
     CampaignSpec,
     ExperimentCampaign,
     LossSpec,
-    MultiprocessingExecutor,
     QrmSpec,
     RecordingObserver,
     ScenarioCell,
@@ -135,17 +135,13 @@ class TestDeterminismAcrossExecutors:
     def test_serial_equals_parallel(self):
         spec = small_spec(sizes=(10, 12))
         serial = ExperimentCampaign(spec, executor=SerialExecutor()).run()
-        parallel = ExperimentCampaign(
-            spec, executor=MultiprocessingExecutor(workers=2)
-        ).run()
+        parallel = ExperimentCampaign(spec, executor=make_executor(2)).run()
         assert serial.to_csv() == parallel.to_csv()
         for a, b in zip(serial.aggregates, parallel.aggregates):
             assert a.cell == b.cell
             assert a.metrics == b.metrics
 
     def test_serial_equals_async(self):
-        from repro.campaign import AsyncExecutor
-
         spec = small_spec(sizes=(10,))
         serial = ExperimentCampaign(spec, executor=SerialExecutor()).run()
         fanned = ExperimentCampaign(spec, executor=AsyncExecutor(workers=2)).run()
@@ -154,16 +150,15 @@ class TestDeterminismAcrossExecutors:
     def test_make_executor(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(4, chunksize=2)
-        assert isinstance(pool, MultiprocessingExecutor)
+        pool = make_executor(4)
+        assert isinstance(pool, AsyncExecutor)
         assert pool.workers == 4
-        assert pool.chunksize == 2
 
     def test_executor_validation(self):
         with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(workers=0)
+            make_executor(0, kind="async")
         with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(chunksize=0)
+            make_executor("127.0.0.1:7000", kind="process")
 
 
 class TestCache:

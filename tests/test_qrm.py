@@ -7,7 +7,8 @@ import pytest
 
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.baselines.base import get_algorithm
+from repro.core.qrm import QrmScheduler
 from repro.core.scan import is_young_diagram
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
@@ -72,9 +73,10 @@ class TestScheduleBasics:
         assert 1 <= result.iterations_used <= 4
         assert len(result.pass_outcomes) == 2 * result.iterations_used
 
-    def test_rearrange_convenience(self, array20):
-        result = rearrange(array20)
-        assert result.algorithm == "qrm"
+    def test_registry_resolves_qrm(self, array20):
+        scheduler = get_algorithm("qrm", array20.geometry)
+        assert isinstance(scheduler, QrmScheduler)
+        assert scheduler.schedule(array20).algorithm == "qrm"
 
 
 class TestConvergence:

@@ -257,6 +257,32 @@ def test_json_front_door_stats_and_errors(server):
     assert bad["id"] == 3
 
 
+def test_json_poison_params_do_not_stop_the_dispatcher():
+    # A params key the scheduler factory rejects raises TypeError while
+    # the wave resolves its scheduler.  It must come back as that
+    # request's error frame, and the requests after it must still be
+    # served.  A private server: a dead dispatcher would hang every later
+    # test sharing the module fixture.
+    geometry = ArrayGeometry.square(8)
+    grid = load_uniform(geometry, 0.5, rng=0).grid.astype(int).tolist()
+    responses = []
+    with serve_in_thread(batch_window=0.002) as thread:
+        with socket.create_connection(thread.address, timeout=5.0) as sock:
+            with sock.makefile("rwb") as stream:
+                for request_id, params in ((1, None), (2, {"bogus": 1}), (3, None)):
+                    request = {"id": request_id, "size": 8, "grid": grid}
+                    if params is not None:
+                        request["params"] = params
+                    stream.write(json.dumps(request).encode() + b"\n")
+                    stream.flush()
+                    responses.append(json.loads(stream.readline()))
+    first, poison, after = responses
+    assert first["id"] == 1 and first["ok"] is True
+    assert poison["id"] == 2 and poison["ok"] is False
+    assert "bogus" in poison["error"]
+    assert after["id"] == 3 and after["ok"] is True
+
+
 # ---------------------------------------------------------------------------
 # Error paths and sibling isolation
 # ---------------------------------------------------------------------------
