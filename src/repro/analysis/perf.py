@@ -14,8 +14,8 @@ and the pinned pre-vectorization seed implementation
 (:mod:`repro.analysis.seed_baseline`); six more time a vectorised stage
 against its live ``*_reference`` oracle (repair, Tetris, PSCA, MTA1, the
 guarded pipelined-mode drain, and masked QRM+repair on a ring target);
-three time a subsystem-level pair (cross-trial batching, service
-micro-batching, and the closed-loop pipeline's stage overlap).
+two time a subsystem-level pair (cross-trial batching and service
+micro-batching).
 
 Each component is declared once, as a :class:`Component`: its name, a
 setup generator that builds the inputs and the callables to time, the
@@ -59,12 +59,10 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v7: the ``masked_qrm`` component
-#: times the vectorised QRM+repair path on a non-rectangular ring
-#: target — mask-derived per-line scan limits plus mask-aware repair —
-#: against the per-command reference composition, and records the mask
-#: label and its site count next to the usual speedup block).
-BENCH_SCHEMA_VERSION = 7
+#: Bump when the JSON layout changes (v8: the ``pipeline_latency``
+#: component is gone with the thread-pipelined closed-loop driver it
+#: compared against the sequential one).
+BENCH_SCHEMA_VERSION = 8
 
 DEFAULT_SIZES = (32, 64, 128)
 DEFAULT_FILLS = (0.3, 0.5, 0.7)
@@ -83,11 +81,6 @@ DEFAULT_SERVICE_CONCURRENCIES = (1, 4, 16)
 #: ``service_latency`` block measures against batching off.
 SERVICE_BATCH_WINDOW_S = 0.002
 SERVICE_MAX_BATCH_SIZE = 32
-
-#: Stream shape of one ``pipeline_latency`` run: shots, each with up to
-#: this many repair cycles under the default loss model.
-PIPELINE_SHOTS = 4
-PIPELINE_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -399,11 +392,6 @@ def _positive_int(value: Any, context: str) -> None:
 def _text(value: Any, context: str) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{context} must be a non-empty string")
-
-
-def _sha256(value: Any, context: str) -> None:
-    if not isinstance(value, str) or len(value) != 64:
-        raise ValueError(f"{context} must be a sha256 hex digest")
 
 
 def _check_record(record: Any, schema: Mapping, context: str) -> None:
@@ -928,89 +916,6 @@ def _service_latency_line(block: Mapping) -> str:
     )
 
 
-# -- pipeline_latency -------------------------------------------------------
-
-
-def _pipeline_latency_setup(
-    size: int, fill: float, trials: int, master_seed: int
-) -> Setup:
-    """The closed-loop pipeline, sequential vs stage-pipelined.
-
-    Each trial runs the full camera -> detect -> schedule -> AWG ->
-    replay loop (:data:`PIPELINE_SHOTS` arrays, up to
-    :data:`PIPELINE_CYCLES` repair cycles each, default loss model) once
-    per mode, sequential first, timed by the run's own clock
-    (``report.wall_us``, which excludes scheduler construction).  Every
-    run's deterministic trace is checked against the warm-up digest — a
-    drifting mode fails the bench loudly rather than recording a timing
-    for wrong results.
-
-    ``overlap_speedup`` is the ratio of best-of wall minima (sequential
-    / pipelined).  On a single-core box it sits near (or below) 1: the
-    stage workers are Python threads, so overlap buys nothing without
-    idle cores.  The gate therefore only pins it against the committed
-    baseline measured on the same class of machine.  ``stages`` is the
-    per-stage breakdown of the best sequential run — the software
-    counterpart of the paper's per-stage hardware budget.
-    """
-    from repro.physics.loss import LossModel
-    from repro.pipeline import PipelineConfig, run_pipeline
-
-    config = PipelineConfig(
-        size=size,
-        fill=fill,
-        shots=PIPELINE_SHOTS,
-        cycles=PIPELINE_CYCLES,
-        master_seed=master_seed,
-        loss=LossModel(),
-    )
-    # Warm-up (unmeasured): imports, scheduler caches, and the trace
-    # digest every timed run must reproduce.
-    digest = run_pipeline(config, "sequential").trace_digest()
-    reports = []
-
-    def side(mode: str) -> Side:
-        def run(_: int):
-            result = run_pipeline(config, mode)
-            if result.trace_digest() != digest:
-                raise ValueError(
-                    f"pipeline {mode} mode diverged from the warm-up "
-                    f"trace while benchmarking"
-                )
-            if mode == "sequential":
-                reports.append(result.report)
-            return result
-
-        return Side(mode, run, sample=lambda result, _: result.report.wall_us / 1e3)
-
-    timings = yield [Block(trials, (side("sequential"), side("pipelined")))]
-    best = min(reports, key=lambda report: report.wall_us)
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": trials,
-        "shots": PIPELINE_SHOTS,
-        "cycles": PIPELINE_CYCLES,
-        "sequential_ms": summary_dict(timings["sequential"]),
-        "pipelined_ms": summary_dict(timings["pipelined"]),
-        "overlap_speedup": (
-            timings["sequential"].minimum / timings["pipelined"].minimum
-        ),
-        "trace_digest": digest,
-        "stages": best.to_dict()["stages"],
-    }
-
-
-def _pipeline_latency_line(block: Mapping) -> str:
-    return (
-        f"{block['size']}x{block['size']} "
-        f"({block['shots']} shots x <= {block['cycles']} cycles): "
-        f"sequential {block['sequential_ms']['mean']:.2f} ms, "
-        f"pipelined {block['pipelined_ms']['mean']:.2f} ms -> "
-        f"{block['overlap_speedup']:.2f}x overlap"
-    )
-
-
 # -- the declarations -------------------------------------------------------
 
 #: The QRM hot-path block (``speedup`` in the JSON layout).  It and the
@@ -1091,33 +996,6 @@ COMPONENTS: tuple[Component, ...] = (
     _registry_pair("tetris"),
     _registry_pair("psca"),
     _registry_pair("mta1"),
-    Component(
-        "pipeline_latency",
-        _pipeline_latency_setup,
-        {
-            **_CASE_SCHEMA,
-            "shots": None,
-            "cycles": None,
-            "sequential_ms": _summary,
-            "pipelined_ms": _summary,
-            "overlap_speedup": _positive,
-            "trace_digest": _sha256,
-            "stages": _records(
-                {
-                    "stage": _text,
-                    "n_calls": _number,
-                    "total_us": _number,
-                    "mean_us": _number,
-                }
-            ),
-        },
-        # On a single-core runner the overlap hovers near 1 (Python
-        # threads buy no overlap without idle cores); the gate only
-        # catches it slipping below the committed baseline's ratio.
-        (Ratio("overlap_speedup"),),
-        _pipeline_latency_line,
-        sweeps=2,
-    ),
 )
 
 #: Names of the per-component blocks, in measurement order.

@@ -4,10 +4,9 @@ Raw wall-clock numbers are machine-dependent, so the gate never compares
 milliseconds across reports.  It compares the *dimensionless speedup
 ratios* each component declares gated in :mod:`repro.analysis.perf` —
 vectorised-vs-reference per component, batched-vs-serial per batch
-size, service-batching-on-vs-off at the highest measured client
-concurrency, sequential-vs-pipelined for the closed-loop pipeline —
-which are measured interleaved within one run and therefore transfer
-between machines.  A fresh report passes when every
+size, and service-batching-on-vs-off at the highest measured client
+concurrency — which are measured interleaved within one run and
+therefore transfer between machines.  A fresh report passes when every
 ratio it shares with the baseline is within ``tolerance`` (default 15%)
 of the baseline's value; blocks present on only one side are skipped,
 because a smoke-grid report legitimately measures fewer cases than the

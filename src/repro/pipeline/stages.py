@@ -13,10 +13,10 @@ flowing through the paper's FPGA data path (Fig. 1/2):
 The functions here are **pure given their frame state**: every source
 of randomness (exposure noise, loss draws) is a pre-spawned per-cycle
 generator attached to the :class:`FrameState` before the frame enters
-the pipeline.  That is the whole determinism story — the sequential and
-the thread-pipelined driver in :mod:`repro.pipeline.engine` call exactly
-these functions in dataflow order, so their outputs are byte-identical
-no matter how stages interleave across frames.
+the pipeline.  That is the whole determinism story: the driver in
+:mod:`repro.pipeline.engine`, the campaign's multi-cycle trials and the
+benchmark's frame loop call exactly these functions in dataflow order,
+so a config's trace is byte-identical from run to run.
 
 Multi-cycle operation closes the loop: after ``replay``, a shot whose
 detected array was not defect-free re-enters at ``camera`` (re-image the
@@ -74,7 +74,6 @@ class PipelineConfig:
     camera: CameraConfig = DEFAULT_CAMERA
     timing: MoveTimingModel = DEFAULT_MOVE_TIMING
     fpga_timing: bool = False
-    queue_depth: int = 4
     mask: "TargetMask | None" = None
 
     def __post_init__(self) -> None:
@@ -86,8 +85,6 @@ class PipelineConfig:
             raise ConfigurationError("shots must be >= 1")
         if self.cycles < 1:
             raise ConfigurationError("cycles must be >= 1")
-        if self.queue_depth < 1:
-            raise ConfigurationError("queue_depth must be >= 1")
         if self.fpga_timing and self.algorithm != "qrm":
             raise ConfigurationError(
                 "the FPGA cycle model only implements the 'qrm' algorithm"
@@ -110,8 +107,8 @@ class CycleRecord:
 
     Everything here is a pure function of the shot's seed streams —
     wall-clock timings live separately in the run's
-    :class:`~repro.timing.latency.StageReport` — so two runs (or two
-    execution modes) can be compared byte for byte.
+    :class:`~repro.timing.latency.StageReport` — so two runs can be
+    compared byte for byte.
     """
 
     shot: int
@@ -331,7 +328,7 @@ def stage_replay(state: FrameState, config: PipelineConfig) -> FrameState:
 
 
 #: Stage key -> stage function, in data-path order.  ``schedule`` takes
-#: the algorithm as an extra argument; the drivers close over it.
+#: the algorithm as an extra argument, which :func:`run_shot` passes.
 STAGE_FUNCTIONS = (
     (STAGE_CAMERA, stage_camera),
     (STAGE_DETECT, stage_detect),
@@ -351,8 +348,8 @@ def run_shot(
 ) -> ShotResult:
     """Run one shot's closed loop to completion, sequentially.
 
-    The building block shared by the sequential pipeline driver and the
-    campaign's multi-cycle trials.  ``cycle_streams`` is the flat
+    The building block shared by the pipeline driver and the campaign's
+    multi-cycle trials.  ``cycle_streams`` is the flat
     ``[camera, loss, camera, loss, ...]`` seed list from
     :func:`spawn_shot_streams`.
     """
@@ -381,8 +378,7 @@ def run_shot(
                 and state.record.converged_at_detect
             ):
                 # The remaining stages are no-ops for a converged frame;
-                # skip them so stage call counts match the pipelined
-                # driver (which retires such frames at detect).
+                # skip them so the report counts only stages that ran.
                 break
         result.records.append(state.record)
         truth = state.truth

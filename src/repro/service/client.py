@@ -35,7 +35,6 @@ import itertools
 import queue
 import socket
 import threading
-import time
 from typing import Any, Iterable, Sequence
 
 from repro.campaign.protocol import read_frame, write_frame, write_handshake
@@ -128,7 +127,9 @@ class ServiceClient:
         self._sock: socket.socket | None = None
         self._rfile = None
         self._wfile = None
-        self._closing = False
+        # Set by close(); every backoff wait waits on it, so closing
+        # never sits out a reconnect or retry delay.
+        self._closing = threading.Event()
         self._connect()
         self._sender = threading.Thread(
             target=self._send_loop, name="repro-service-send", daemon=True
@@ -148,9 +149,9 @@ class ServiceClient:
         self.close()
 
     def close(self) -> None:
-        if self._closing:
+        if self._closing.is_set():
             return
-        self._closing = True
+        self._closing.set()
         self._sendq.put(_CLOSE)
         self._sender.join(timeout=5)
         with self._conn_lock:
@@ -196,7 +197,7 @@ class ServiceClient:
     # -- internals ---------------------------------------------------------
 
     def _submit(self, op: str, payload: Any) -> ServiceFuture:
-        if self._closing:
+        if self._closing.is_set():
             raise ServiceError("client is closed")
         self._slots.acquire()
         request_id = next(self._ids)
@@ -224,7 +225,8 @@ class ServiceClient:
                     ),
                 )
                 return
-            time.sleep(self.backoff_base * 2 ** (attempt - 1))
+            if self._closing.wait(self.backoff_base * 2 ** (attempt - 1)):
+                continue  # close() fails every pending request
             if not future.done():
                 self._sendq.put(future)  # resend; duplicates are dropped
 
@@ -261,12 +263,12 @@ class ServiceClient:
                 break
             except OSError as exc:
                 attempt += 1
-                if attempt > self.max_retries:
+                delay = self.backoff_base * 2 ** (attempt - 1)
+                if attempt > self.max_retries or self._closing.wait(delay):
                     raise ServiceError(
                         f"cannot reach scheduling service at "
                         f"{self.address[0]}:{self.address[1]}: {exc}"
                     ) from exc
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
         sock.settimeout(None)
         self._sock = sock
         self._rfile = sock.makefile("rb")
@@ -318,12 +320,11 @@ class ServiceClient:
                 # The connection died mid-send.  The receiver notices the
                 # same failure, reconnects, and resends every pending
                 # request — this one included — so dropping here is safe.
-                if self._closing:
+                if self._closing.wait(self.backoff_base):
                     return
-                time.sleep(self.backoff_base)
 
     def _receive_loop(self) -> None:
-        while not self._closing:
+        while not self._closing.is_set():
             try:
                 with self._conn_lock:
                     rfile = self._rfile
@@ -331,7 +332,7 @@ class ServiceClient:
             except Exception:
                 frame = None
             if frame is None:
-                if self._closing:
+                if self._closing.is_set():
                     return
                 try:
                     self._reconnect_and_resend()

@@ -127,9 +127,10 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
     to a token string (when present) and ``"grid"`` to a bool array for
     schedule requests.
 
-    Validation errors raised after the object parses carry the
-    request's ``id`` as ``exc.request_id`` so the error frame can still
-    be correlated by the client.
+    Any failure after the object parses becomes a
+    :class:`~repro.errors.ConfigurationError` carrying the request's
+    ``id`` as ``exc.request_id``, so the error frame can still be
+    correlated by the client.
     """
     try:
         data = json.loads(line)
@@ -137,20 +138,24 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
         raise ConfigurationError(f"invalid JSON request: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError("a JSON request must be an object")
+    try:
+        return _json_request(data)
+    except Exception as exc:
+        message = str(exc)
+        if not isinstance(exc, ConfigurationError):
+            message = f"{type(exc).__name__}: {message}"
+        error = ConfigurationError(message)
+        error.request_id = data.get("id")
+        raise error from exc
 
-    def reject(message: str, cause: Exception | None = None) -> ConfigurationError:
-        exc = ConfigurationError(message)
-        exc.request_id = data.get("id")
-        if cause is not None:
-            exc.__cause__ = cause
-        return exc
 
+def _json_request(data: dict[str, Any]) -> dict[str, Any]:
     op = data.get("op", "schedule")
     request = {"op": op, "id": data.get("id")}
     if op != "schedule":
         return request
     if "grid" not in data:
-        raise reject("a schedule request needs a 'grid'")
+        raise ConfigurationError("a schedule request needs a 'grid'")
     grid = np.asarray(data["grid"], dtype=bool)
     mask_token: str | None = None
     raw_mask = data.get("mask")
@@ -163,7 +168,7 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
             else:
                 mask = TargetMask.from_rows(list(raw_mask))
         except Exception as exc:
-            raise reject(f"bad mask: {exc}", exc) from None
+            raise ConfigurationError(f"bad mask: {exc}") from exc
         mask_token = mask.token()
     if raw_mask is not None and ("size" in data or "geometry" in data):
         # Target extents are the mask's bounding box by definition.
@@ -174,9 +179,7 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
             try:
                 width, height = int(geo["width"]), int(geo["height"])
             except (KeyError, TypeError) as exc:
-                raise reject(
-                    "a JSON geometry needs width/height", exc
-                ) from None
+                raise ConfigurationError("a JSON geometry needs width/height") from exc
         box = mask.bounding_box
         geometry = (width, height, box.width, box.height)
     elif "geometry" in data:
@@ -189,10 +192,9 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
                 int(geo["target_height"]),
             )
         except (KeyError, TypeError) as exc:
-            raise reject(
-                "a JSON geometry needs width/height/target_width/target_height",
-                exc,
-            ) from None
+            raise ConfigurationError(
+                "a JSON geometry needs width/height/target_width/target_height"
+            ) from exc
     elif "size" in data:
         from repro.lattice.geometry import ArrayGeometry
 
@@ -204,7 +206,9 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
             square.target_height,
         )
     else:
-        raise reject("a schedule request needs either 'geometry' or 'size'")
+        raise ConfigurationError(
+            "a schedule request needs either 'geometry' or 'size'"
+        )
     request.update(
         geometry=geometry,
         algorithm=data.get("algorithm", "qrm"),

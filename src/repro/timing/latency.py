@@ -6,7 +6,7 @@ detect -> schedule -> AWG -> replay).  Both sides of every latency
 comparison speak it:
 
 * the *measured* side — :class:`StageReport`, filled per frame by the
-  streaming pipeline (:mod:`repro.pipeline`) with wall-clock
+  closed-loop pipeline (:mod:`repro.pipeline`) with wall-clock
   microseconds per stage;
 * the *modelled* side — the analytic hardware budgets in
   :mod:`repro.workflow.system`, whose :class:`BudgetItem` rows carry the
@@ -114,14 +114,12 @@ class StageTiming:
 class StageReport:
     """Structured per-stage latency record of one pipeline run.
 
-    ``wall_us`` is the end-to-end wall time of the whole run; the summed
-    per-stage busy time can exceed it in pipelined mode (stages overlap
-    across frames), which is exactly what :attr:`overlap` exposes.
+    ``wall_us`` is the end-to-end wall time of the whole run, which
+    also covers the work between stages (array loading).
     Stage keys come from :data:`PIPELINE_STAGES`; unknown keys raise, so
     the measured report and the analytic budgets cannot drift apart.
     """
 
-    mode: str = "sequential"
     stages: dict[str, StageTiming] = field(default_factory=dict)
     wall_us: float = 0.0
 
@@ -146,13 +144,8 @@ class StageReport:
 
     @property
     def busy_us(self) -> float:
-        """Summed per-stage busy time (= wall time when sequential)."""
+        """Summed per-stage busy time (at most the wall time)."""
         return sum(timing.total_us for timing in self.stages.values())
-
-    @property
-    def overlap(self) -> float:
-        """Busy/wall ratio: > 1 means stages genuinely overlapped."""
-        return self.busy_us / self.wall_us if self.wall_us > 0 else 0.0
 
     def ordered(self) -> list[StageTiming]:
         return [
@@ -161,17 +154,15 @@ class StageReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "wall_us": self.wall_us,
             "busy_us": self.busy_us,
-            "overlap": self.overlap,
             "stages": [timing.to_dict() for timing in self.ordered()],
         }
 
     def format(self) -> str:
         lines = [
-            f"stage latency ({self.mode} mode, "
-            f"wall {self.wall_us / 1e3:.2f} ms, overlap {self.overlap:.2f}x):"
+            f"stage latency (wall {self.wall_us / 1e3:.2f} ms, "
+            f"busy {self.busy_us / 1e3:.2f} ms):"
         ]
         for timing in self.ordered():
             lines.append(

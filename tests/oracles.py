@@ -19,10 +19,9 @@ Used by ``test_pass_equivalence.py`` (QRM pass, guarded drain x
 ``s_en``), ``test_repair_equivalence.py`` (repair stage),
 ``test_baseline_equivalence.py`` (Tetris/PSCA/MTA1),
 ``test_executor_batch.py`` (batched replay), ``test_pipeline.py``
-(pipelined vs sequential closed-loop drivers, via
-:func:`pipeline_configs`), and — via the :func:`campaign_specs` grids —
-``test_journal.py`` (journal crash-consistency against the clean-run
-oracle).
+(closed-loop rerun determinism, via :func:`pipeline_configs`), and —
+via the :func:`campaign_specs` grids — ``test_journal.py`` (journal
+crash-consistency against the clean-run oracle).
 """
 
 from __future__ import annotations
@@ -190,10 +189,9 @@ def campaign_specs(draw, max_seeds: int = 3, cycles=(1,)):
 def pipeline_configs(draw, max_shots: int = 3, max_cycles: int = 3):
     """Closed-loop :class:`~repro.pipeline.PipelineConfig` inputs.
 
-    Drawn over geometry x fill x stream shape x loss so the pipelined
-    and the sequential driver are compared across single-frame runs,
-    deep repair loops, lossless no-op cycles, and queue depths down to
-    the fully serialised ``1``.
+    Drawn over geometry x fill x stream shape x loss so the driver is
+    exercised across single-frame runs, deep repair loops and lossless
+    no-op cycles.
     """
     from repro.physics.loss import LossModel
     from repro.pipeline import PipelineConfig
@@ -211,7 +209,6 @@ def pipeline_configs(draw, max_shots: int = 3, max_cycles: int = 3):
         cycles=cycles,
         master_seed=draw(st.integers(min_value=0, max_value=2**16)),
         loss=LossModel(vacuum_lifetime_s=0.05) if lossy else None,
-        queue_depth=draw(st.sampled_from((1, 2, 4))),
     )
 
 

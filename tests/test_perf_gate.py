@@ -34,7 +34,6 @@ GATED_LABELS = {
     ),
     *(f"batched_qrm@64 B={n} speedup_vs_single" for n in (1, 8, 32, 128)),
     "service_latency@64 c=16 speedup_batched",
-    "pipeline_latency@64 overlap_speedup",
 }
 
 
@@ -62,7 +61,7 @@ def _halved(payload: dict, path: tuple) -> dict:
 def test_gate_flags_each_tracked_ratio_alone():
     committed = json.loads(COMMITTED_BENCH.read_text())
     assert check_perf_regression(committed, committed) == []
-    assert len(GATED_LABELS) == 14
+    assert len(GATED_LABELS) == 13
 
     flagged: dict[str, list[tuple]] = {}
     for path in _numeric_leaves(committed):

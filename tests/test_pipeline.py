@@ -1,15 +1,13 @@
-"""Closed-loop pipeline: the pipelined driver == the sequential one.
+"""Closed-loop pipeline: the sequential driver and its determinism.
 
-The determinism contract of :mod:`repro.pipeline` is differential: for
-any :class:`PipelineConfig`, the thread-pipelined driver must emit
-byte-identical per-cycle traces to the run-to-completion sequential
-driver — same detected occupancy, same schedules, same post-loss truth,
-in the same (shot, cycle) order — because every frame's RNG streams are
-pre-spawned and the stage functions are pure.  The sequential run is
-the oracle; configs come from the shared :func:`oracles.pipeline_configs`
-strategy.
+The determinism contract of :mod:`repro.pipeline`: for any
+:class:`PipelineConfig`, two runs emit byte-identical per-cycle traces —
+same detected occupancy, same schedules, same post-loss truth, in the
+same (shot, cycle) order — because every frame's RNG streams are
+pre-spawned and the stage functions are pure.  Configs come from the
+shared :func:`oracles.pipeline_configs` strategy.
 
-Also covered here: rerun determinism, stage-latency bookkeeping
+Also covered here: stage-latency bookkeeping
 (:class:`StageReport`), config validation, the multi-cycle campaign
 axis (trial determinism and journal resume), and the ``repro pipeline``
 CLI surface.
@@ -36,8 +34,9 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.lattice.mask import TargetMask
 from repro.physics.loss import LossModel
-from repro.pipeline import PIPELINE_MODES, PipelineConfig, run_pipeline
+from repro.pipeline import PipelineConfig, run_pipeline
 from repro.timing.latency import (
     BUDGETED_STAGES,
     PIPELINE_STAGES,
@@ -51,47 +50,28 @@ LOSS = LossModel(vacuum_lifetime_s=0.05)
 
 
 # ---------------------------------------------------------------------------
-# Differential property: pipelined == sequential, byte for byte
+# Determinism: a config fixes the trace byte for byte
 # ---------------------------------------------------------------------------
 
 
 class TestModeEquivalence:
-    @given(config=pipeline_configs())
-    @settings(max_examples=20, deadline=None)
-    def test_pipelined_trace_matches_sequential(self, config):
-        sequential = run_pipeline(config, "sequential")
-        pipelined = run_pipeline(config, "pipelined")
-        assert pipelined.trace_lines() == sequential.trace_lines()
-        assert pipelined.trace_digest() == sequential.trace_digest()
-        assert pipelined.n_frames == sequential.n_frames
-        assert pipelined.converged_fraction == sequential.converged_fraction
-        assert pipelined.mean_final_fill == sequential.mean_final_fill
+    """Run-to-run equivalence of the sequential driver."""
 
     @given(config=pipeline_configs())
     @settings(max_examples=8, deadline=None)
     def test_rerun_is_deterministic(self, config):
-        first = run_pipeline(config, "pipelined")
-        second = run_pipeline(config, "pipelined")
+        first = run_pipeline(config, "sequential")
+        second = run_pipeline(config, "sequential")
         assert first.trace_lines() == second.trace_lines()
 
-    def test_stage_call_counts_match_across_modes(self):
+    def test_each_frame_imaged_and_detected_once(self):
         config = PipelineConfig(
             size=8, fill=0.5, shots=3, cycles=3, master_seed=5, loss=LOSS
         )
-        sequential = run_pipeline(config, "sequential")
-        pipelined = run_pipeline(config, "pipelined")
-        seq_calls = {
-            key: timing.n_calls
-            for key, timing in sequential.report.stages.items()
-        }
-        pipe_calls = {
-            key: timing.n_calls
-            for key, timing in pipelined.report.stages.items()
-        }
-        assert seq_calls == pipe_calls
-        # Every frame is imaged and detected exactly once.
-        assert seq_calls["camera"] == sequential.n_frames
-        assert seq_calls["detect"] == sequential.n_frames
+        result = run_pipeline(config, "sequential")
+        calls = {key: timing.n_calls for key, timing in result.report.stages.items()}
+        assert calls["camera"] == result.n_frames
+        assert calls["detect"] == result.n_frames
 
     def test_trace_lines_are_canonical_json(self):
         config = PipelineConfig(size=6, fill=0.4, shots=2, cycles=2, loss=LOSS)
@@ -113,7 +93,7 @@ class TestModeEquivalence:
 
     def test_frames_ordered_by_shot_then_cycle(self):
         config = PipelineConfig(size=6, fill=0.4, shots=3, cycles=3, loss=LOSS)
-        result = run_pipeline(config, "pipelined")
+        result = run_pipeline(config, "sequential")
         order = [
             (json.loads(line)["shot"], json.loads(line)["cycle"])
             for line in result.trace_lines()
@@ -169,8 +149,8 @@ class TestClosedLoop:
 
     def test_to_dict_round_trips_through_json(self):
         config = PipelineConfig(size=6, fill=0.5, shots=2, cycles=2, loss=LOSS)
-        payload = json.loads(json.dumps(run_pipeline(config, "pipelined").to_dict()))
-        assert payload["mode"] == "pipelined"
+        payload = json.loads(json.dumps(run_pipeline(config, "sequential").to_dict()))
+        assert payload["mode"] == "sequential"
         assert payload["shots"] == 2
         assert payload["frames"] >= 2
         assert len(payload["trace_digest"]) == 64
@@ -192,8 +172,8 @@ class TestValidation:
             {"fill": -0.1},
             {"shots": 0},
             {"cycles": 0},
-            {"queue_depth": 0},
             {"fpga_timing": True, "algorithm": "tetris"},
+            {"size": 8, "target": 4, "mask": TargetMask.rect(8, 8, 4, 4)},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -204,8 +184,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown pipeline mode"):
             run_pipeline(PipelineConfig(size=4), "warp")
 
-    def test_modes_tuple(self):
-        assert PIPELINE_MODES == ("sequential", "pipelined")
+    def test_pipelined_mode_removed(self):
+        with pytest.raises(ConfigurationError, match="pipelined driver was removed"):
+            run_pipeline(PipelineConfig(size=4), "pipelined")
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +220,13 @@ class TestStageReport:
             report.record(stage, 1.0)
         assert [t.stage for t in report.ordered()] == list(PIPELINE_STAGES)
 
-    def test_overlap_is_busy_over_wall(self):
-        report = StageReport(mode="pipelined")
+    def test_busy_sums_stage_time(self):
+        report = StageReport()
         report.record("camera", 30.0)
         report.record("detect", 30.0)
-        report.wall_us = 40.0
-        assert report.overlap == pytest.approx(1.5)
-        assert "overlap 1.50x" in report.format()
+        report.wall_us = 80.0
+        assert report.busy_us == pytest.approx(60.0)
+        assert "wall 0.08 ms, busy 0.06 ms" in report.format()
 
     def test_compare_to_budget_covers_budgeted_stages(self):
         report = StageReport()
@@ -260,9 +241,8 @@ class TestStageReport:
 
     def test_pipeline_report_covers_all_stages(self):
         config = PipelineConfig(size=6, fill=0.4, shots=2, cycles=2, loss=LOSS)
-        result = run_pipeline(config, "pipelined")
-        assert result.report.mode == "pipelined"
-        assert result.report.wall_us > 0
+        result = run_pipeline(config, "sequential")
+        assert result.report.wall_us >= result.report.busy_us > 0
         assert set(result.report.stages) <= set(PIPELINE_STAGES)
         assert "camera" in result.report.stages
 
@@ -352,18 +332,19 @@ class TestCampaignCycles:
 class TestPipelineCli:
     ARGS = ["pipeline", "--size", "6", "--fill", "0.4", "--shots", "2", "--seed", "3"]
 
-    def test_both_modes_agree(self, capsys):
+    def test_default_run_prints_stage_report(self, capsys):
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "pipelined == sequential" in out
         assert "stage latency" in out
+
+    def test_mode_option_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--mode", "sequential"])
 
     def test_single_mode_trace_and_json(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
         payload = tmp_path / "out.json"
         args = self.ARGS + [
-            "--mode",
-            "sequential",
             "--cycles",
             "2",
             "--loss",
@@ -380,14 +361,14 @@ class TestPipelineCli:
         assert set(data) == {"sequential"}
         assert data["sequential"]["cycles"] == 2
 
-    def test_cli_traces_identical_across_modes(self, tmp_path):
-        traces = {}
-        for mode in PIPELINE_MODES:
-            path = tmp_path / f"{mode}.txt"
-            args = self.ARGS + ["--mode", mode, "--cycles", "2", "--loss"]
+    def test_cli_traces_identical_across_runs(self, tmp_path):
+        traces = []
+        for run in range(2):
+            path = tmp_path / f"run{run}.txt"
+            args = self.ARGS + ["--cycles", "2", "--loss"]
             assert main(args + ["--trace", str(path), "--quiet"]) == 0
-            traces[mode] = path.read_bytes()
-        assert traces["sequential"] == traces["pipelined"]
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
 
     def test_campaign_cycles_flag(self, capsys):
         code = main(

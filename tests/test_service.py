@@ -257,6 +257,23 @@ def test_json_front_door_stats_and_errors(server):
     assert bad["id"] == 3
 
 
+def test_json_bad_requests_get_error_frames_with_their_ids(server):
+    # Every line that parses as an object gets an error frame echoing its
+    # id, whatever fails after that, and the connection stays usable.
+    grid = load_uniform(ArrayGeometry.square(8), 0.5, rng=0).grid.astype(int).tolist()
+    *bad, good = json_roundtrip(
+        server.address,
+        {"id": 3, "size": 8, "grid": [[1, 0], [1]]},  # ragged grid
+        {"id": 4, "size": "x", "grid": grid},  # non-integer size
+        {"id": 5, "size": 1, "grid": [[1]]},  # no such geometry
+        {"id": 6, "size": 8, "grid": grid},
+    )
+    for request_id, response in zip((3, 4, 5), bad):
+        assert response["id"] == request_id
+        assert response["ok"] is False and response["error"]
+    assert good["id"] == 6 and good["ok"] is True
+
+
 def test_json_poison_params_do_not_stop_the_dispatcher():
     # A params key the scheduler factory rejects raises TypeError while
     # the wave resolves its scheduler.  It must come back as that
@@ -416,6 +433,19 @@ def test_client_reconnects_after_server_restart():
             second.stop()
     finally:
         client.close()
+
+
+def test_client_close_is_prompt_after_server_stops():
+    # The receiver thread is in its reconnect backoff (up to 12.75 s at
+    # these settings) when close() runs; closing must cut it short.
+    thread = serve_in_thread()
+    client = ServiceClient(thread.address, max_retries=8, backoff_base=0.05)
+    assert client.ping()
+    thread.stop()
+    time.sleep(0.1)
+    start = time.perf_counter()
+    client.close()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_client_rejects_bad_configuration():
