@@ -59,10 +59,9 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v8: the ``pipeline_latency``
-#: component is gone with the thread-pipelined closed-loop driver it
-#: compared against the sequential one).
-BENCH_SCHEMA_VERSION = 8
+#: Bump when the JSON layout changes (v9: the ``awg_compile`` and
+#: ``loss_replay`` components; v8 dropped ``pipeline_latency``).
+BENCH_SCHEMA_VERSION = 9
 
 DEFAULT_SIZES = (32, 64, 128)
 DEFAULT_FILLS = (0.3, 0.5, 0.7)
@@ -501,8 +500,9 @@ def _versus_reference(
     pair: Callable[[int, float, int], _Pair],
     label_schema: Mapping[str, Callable[[Any, str], None]] | None = None,
     summary: Callable[[Mapping], str] = _versus_reference_line,
+    sweeps: int = 1,
 ) -> Component:
-    """Declare a one-sweep component timing ``pair(size, fill, master_seed)``."""
+    """Declare a component timing ``pair(size, fill, master_seed)``."""
 
     def setup(size: int, fill: float, trials: int, master_seed: int) -> Setup:
         make_input, vectorized, reference, labels = pair(size, fill, master_seed)
@@ -511,7 +511,7 @@ def _versus_reference(
         return {**_reference_fields(size, fill, trials, timings), **labels}
 
     schema = {**_VS_REFERENCE_SCHEMA, **(label_schema or {})}
-    return Component(name, setup, schema, (_VS_REFERENCE,), summary)
+    return Component(name, setup, schema, (_VS_REFERENCE,), summary, sweeps)
 
 
 # -- qrm --------------------------------------------------------------------
@@ -680,6 +680,50 @@ def _registry_pair(name: str) -> Component:
         )
 
     return _versus_reference(name, pair)
+
+
+# -- closed-loop consumers of a schedule ------------------------------------
+
+
+def _qrm_schedule_loader(size: int, fill: float, master_seed: int):
+    """Trial index -> ``(load, its QRM schedule)``."""
+    from repro.core.qrm import QrmScheduler
+
+    geometry = ArrayGeometry.square(size)
+    scheduler = QrmScheduler(geometry)
+    load = _loader(geometry, fill, master_seed)
+
+    def make_input(index: int) -> tuple:
+        array = load(index)
+        return array, scheduler.schedule(array).schedule
+
+    return make_input
+
+
+def _awg_compile_pair(size: int, fill: float, master_seed: int) -> _Pair:
+    """AWG compile of a QRM schedule: the columnar compiler, its
+    :class:`~repro.aod.table.MoveTable` build included, against the
+    per-move object compiler."""
+    from repro.awg.compiler import compile_schedule, compile_schedule_reference
+
+    return _Pair(
+        _qrm_schedule_loader(size, fill, master_seed),
+        lambda case: compile_schedule(case[1]),
+        lambda case: compile_schedule_reference(case[1]),
+    )
+
+
+def _loss_replay_pair(size: int, fill: float, master_seed: int) -> _Pair:
+    """Lossy replay of a QRM schedule under the default
+    :class:`~repro.physics.loss.LossModel`, both sides drawing from
+    equally seeded generators (so they do identical work)."""
+    from repro.physics.loss import simulate_losses, simulate_losses_reference
+
+    return _Pair(
+        _qrm_schedule_loader(size, fill, master_seed),
+        lambda case: simulate_losses(*case, rng=master_seed),
+        lambda case: simulate_losses_reference(*case, rng=master_seed),
+    )
 
 
 # -- batched_qrm ------------------------------------------------------------
@@ -918,9 +962,11 @@ def _service_latency_line(block: Mapping) -> str:
 
 # -- the declarations -------------------------------------------------------
 
-#: The QRM hot-path block (``speedup`` in the JSON layout).  It and the
-#: subsystem pairs run two sweeps; the reference-oracle pairs run one —
-#: the mta1 reference alone takes seconds per call at 64x64.
+#: The QRM hot-path block (``speedup`` in the JSON layout).  It, the
+#: subsystem pairs and the closed-loop consumer pairs (``awg_compile``,
+#: ``loss_replay``, a few ms on the vectorised side) run two sweeps; the
+#: scheduler reference-oracle pairs run one — the mta1 reference alone
+#: takes seconds per call at 64x64.
 QRM_SPEEDUP = Component(
     "qrm",
     _qrm_setup,
@@ -996,6 +1042,8 @@ COMPONENTS: tuple[Component, ...] = (
     _registry_pair("tetris"),
     _registry_pair("psca"),
     _registry_pair("mta1"),
+    _versus_reference("awg_compile", _awg_compile_pair, sweeps=2),
+    _versus_reference("loss_replay", _loss_replay_pair, sweeps=2),
 )
 
 #: Names of the per-component blocks, in measurement order.

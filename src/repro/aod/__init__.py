@@ -1,4 +1,5 @@
-"""Crossed-AOD move model: primitives, constraints, execution, timing."""
+"""Crossed-AOD move model: primitives, move tables, constraints, execution,
+timing."""
 
 from repro.aod.constraints import (
     AodConstraints,
@@ -19,6 +20,7 @@ from repro.aod.executor import (
 )
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
+from repro.aod.table import MoveTable
 from repro.aod.serialize import (
     load as load_schedule,
     loads as schedule_from_json,
@@ -40,6 +42,7 @@ __all__ = [
     "LEAD_COLLISION",
     "LineShift",
     "MoveSchedule",
+    "MoveTable",
     "MoveTimingModel",
     "OUT_OF_BOUNDS",
     "ParallelMove",

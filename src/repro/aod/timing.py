@@ -46,7 +46,11 @@ class MoveTimingModel:
 
     def move_duration_us(self, move: ParallelMove) -> float:
         """Duration of one parallel move (all lines ramp together)."""
-        return (self.pickup_us + move.steps * self.transfer_us_per_site + self.drop_us)
+        return self.steps_duration_us(move.steps)
+
+    def steps_duration_us(self, steps: int) -> float:
+        """Duration of any parallel move of ``steps`` sites."""
+        return self.pickup_us + steps * self.transfer_us_per_site + self.drop_us
 
     def schedule_motion_us(self, schedule: MoveSchedule) -> float:
         """Total wall time for the atoms to execute ``schedule``."""

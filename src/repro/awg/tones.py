@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import WaveformError
 
 
@@ -39,6 +41,16 @@ class ToneMap:
 
     def frequencies(self, indices: list[int]) -> list[float]:
         return [self.frequency(i) for i in indices]
+
+    def frequency_array(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`frequency` of every index in ``indices`` at once."""
+        bad = (indices < 0) | (indices >= self.n_sites)
+        if bad.any():
+            raise WaveformError(
+                f"index {indices[bad][0]} outside tone map range "
+                f"[0, {self.n_sites})"
+            )
+        return self.base_mhz + indices * self.spacing_mhz
 
     def index_of(self, frequency_mhz: float) -> int:
         """Inverse map (nearest index)."""

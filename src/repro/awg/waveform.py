@@ -12,7 +12,8 @@ amplitudes normalised to [0, 1] of full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,21 +82,134 @@ class Segment:
         return envelope * out
 
 
-@dataclass
-class WaveformProgram:
-    """An ordered list of segments covering a whole move schedule."""
+@dataclass(frozen=True, eq=False)
+class WaveformColumns:
+    """A program's segments as columns: one row per segment, per tone.
 
-    segments: list[Segment] = field(default_factory=list)
+    Segment ``i`` plays tones ``tone_offsets[i]:tone_offsets[i + 1]``.
+    Construction applies :class:`Segment`'s checks to every row at once
+    (positive duration, amplitudes in [0, 1]), so a program compiled
+    straight into columns is held to the same rules as one built from
+    segment objects.  ``labels`` may be any sequence, including one
+    that formats its strings only when read.
+    """
+
+    labels: Sequence[str]
+    duration_us: np.ndarray
+    amplitude_start: np.ndarray
+    amplitude_end: np.ndarray
+    tone_offsets: np.ndarray
+    tone_start_mhz: np.ndarray
+    tone_end_mhz: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = self.duration_us <= 0
+        if bad.any():
+            label = self.labels[int(np.argmax(bad))]
+            raise WaveformError(f"segment '{label}' needs positive duration")
+        for amplitudes in (self.amplitude_start, self.amplitude_end):
+            bad = (amplitudes < 0.0) | (amplitudes > 1.0)
+            if bad.any():
+                index = int(np.argmax(bad))
+                raise WaveformError(
+                    f"segment '{self.labels[index]}' amplitude "
+                    f"{amplitudes[index]} outside [0, 1]"
+                )
+
+    @classmethod
+    def of(cls, segments: Sequence[Segment]) -> "WaveformColumns":
+        counts = [len(segment.tones) for segment in segments]
+        offsets = np.zeros(len(segments) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        tones = [(t.start_mhz, t.end_mhz) for s in segments for t in s.tones]
+        tones = np.array(tones, dtype=float).reshape(-1, 2)
+        return cls(
+            labels=[segment.label for segment in segments],
+            duration_us=np.array([s.duration_us for s in segments], dtype=float),
+            amplitude_start=np.array(
+                [s.amplitude_start for s in segments], dtype=float
+            ),
+            amplitude_end=np.array([s.amplitude_end for s in segments], dtype=float),
+            tone_offsets=offsets,
+            tone_start_mhz=tones[:, 0],
+            tone_end_mhz=tones[:, 1],
+        )
+
+    def __len__(self) -> int:
+        return len(self.duration_us)
+
+    def segments(self) -> list[Segment]:
+        """Every row as a :class:`Segment` (checks already applied)."""
+        starts = self.tone_start_mhz.tolist()
+        ends = self.tone_end_mhz.tolist()
+        offsets = self.tone_offsets.tolist()
+        return [
+            Segment(
+                label=label,
+                duration_us=duration,
+                tones=tuple(
+                    Tone(start_mhz=starts[t], end_mhz=ends[t])
+                    for t in range(offsets[i], offsets[i + 1])
+                ),
+                amplitude_start=amp_start,
+                amplitude_end=amp_end,
+            )
+            for i, (label, duration, amp_start, amp_end) in enumerate(
+                zip(
+                    self.labels,
+                    self.duration_us.tolist(),
+                    self.amplitude_start.tolist(),
+                    self.amplitude_end.tolist(),
+                )
+            )
+        ]
+
+
+class WaveformProgram:
+    """An ordered list of segments covering a whole move schedule.
+
+    Stored as :class:`WaveformColumns` when compiled; the
+    :class:`Segment`/:class:`Tone` objects are built only when
+    :attr:`segments` is read.  Grow a program through :meth:`append`
+    and :meth:`extend`.
+    """
+
+    def __init__(self, segments: Iterable[Segment] = ()) -> None:
+        self._segments: list[Segment] | None = list(segments)
+        self._columns: WaveformColumns | None = None
+
+    @classmethod
+    def from_columns(cls, columns: WaveformColumns) -> "WaveformProgram":
+        program = cls()
+        program._segments = None
+        program._columns = columns
+        return program
+
+    @property
+    def segments(self) -> list[Segment]:
+        if self._segments is None:
+            self._segments = self._columns.segments()
+        return self._segments
+
+    @property
+    def columns(self) -> WaveformColumns:
+        if self._columns is None:
+            self._columns = WaveformColumns.of(self._segments)
+        return self._columns
 
     def append(self, segment: Segment) -> None:
         self.segments.append(segment)
+        self._columns = None
 
-    def extend(self, segments: list[Segment]) -> None:
+    def extend(self, segments: Iterable[Segment]) -> None:
         self.segments.extend(segments)
+        self._columns = None
 
     @property
     def total_duration_us(self) -> float:
-        return sum(segment.duration_us for segment in self.segments)
+        # Python's left-to-right sum, not NumPy's pairwise one, so the
+        # total is bit-identical to summing the segment objects.
+        return float(sum(self.columns.duration_us.tolist()))
 
     def n_samples(self, sample_rate_msps: float) -> int:
         return sum(s.n_samples(sample_rate_msps) for s in self.segments)
@@ -107,4 +221,6 @@ class WaveformProgram:
         return np.concatenate([s.synthesize(sample_rate_msps) for s in self.segments])
 
     def __len__(self) -> int:
-        return len(self.segments)
+        if self._segments is not None:
+            return len(self._segments)
+        return len(self._columns)

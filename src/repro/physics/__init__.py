@@ -6,6 +6,7 @@ from repro.physics.loss import (
     LossReport,
     expected_atom_survival,
     simulate_losses,
+    simulate_losses_reference,
 )
 
 __all__ = [
@@ -14,4 +15,5 @@ __all__ = [
     "LossReport",
     "expected_atom_survival",
     "simulate_losses",
+    "simulate_losses_reference",
 ]

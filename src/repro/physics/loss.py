@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.aod.executor import apply_parallel_move
 from repro.aod.schedule import MoveSchedule
+from repro.aod.table import MoveTable
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MoveError
 from repro.lattice.array import AtomArray
 from repro.lattice.loading import as_rng
 
@@ -115,7 +116,7 @@ def expected_atom_survival(
 
 def simulate_losses(
     initial: AtomArray,
-    schedule: MoveSchedule,
+    schedule: MoveSchedule | MoveTable,
     loss: LossModel = DEFAULT_LOSS_MODEL,
     timing: MoveTimingModel = DEFAULT_MOVE_TIMING,
     rng: int | np.random.Generator | None = None,
@@ -127,9 +128,140 @@ def simulate_losses(
     faces the hand-off/transport hazard.  Losing atoms only ever empties
     traps, so the remaining schedule stays executable (suffix shifts
     tolerate empty selected traps).
+
+    Replays move by move from flat site indices precomputed off the
+    schedule's :class:`MoveTable`, drawing what
+    :func:`simulate_losses_reference` draws in the same order — one
+    ``gen.random(k)`` for the ``k`` moved atoms (in ``shift.sites()``
+    order), then one ``gen.random(n)`` for the ``n`` live atoms (in
+    ``np.argwhere`` order) — so the outcome and the generator's state
+    after the call are bit-identical.  A move that breaks the lockstep
+    rules on the current grid is handed to
+    :func:`~repro.aod.executor.apply_parallel_move` on the untouched
+    grid, which raises the same :class:`~repro.errors.MoveError`.
+    """
+    gen = as_rng(rng)
+    table = MoveTable.of(schedule)
+    array = initial.copy()
+    flat = array.grid.reshape(-1)  # a view: AtomArray grids are contiguous
+    live = array.n_atoms
+    report = LossReport(atoms_initial=live, atoms_final=live, final_array=array)
+    sites = _SelectedSites(table, array.grid.shape)
+    # Duration and both hazards depend on a move's step count alone.
+    hazards = {}
+    for steps in set(table.steps.tolist()):
+        duration = timing.steps_duration_us(steps) + timing.settle_us
+        hazards[steps] = (
+            duration,
+            1.0 - loss.move_survival(steps),
+            1.0 - loss.vacuum_survival(duration),
+        )
+    bounds = sites.offsets.tolist()
+    on_grid = sites.on_grid.tolist()
+    lands_on_grid = sites.lands_on_grid.tolist()
+    for index, steps in enumerate(table.steps.tolist()):
+        duration, p_move_loss, p_decay = hazards[steps]
+        report.duration_us += duration
+        if not on_grid[index]:
+            _raise_executor_error(array.grid, table, index)
+
+        span = slice(bounds[index], bounds[index + 1])
+        selected = sites.source[span]
+        occupied = flat[selected]
+        source = selected[occupied]
+        if source.size:
+            if not lands_on_grid[index]:
+                if not sites.landing_ok[span][occupied].all():
+                    _raise_executor_error(array.grid, table, index)
+            landing = sites.landing[span][occupied]
+            flat[source] = False
+            if np.count_nonzero(flat[landing]):  # a static atom in the way
+                flat[source] = True
+                _raise_executor_error(array.grid, table, index)
+            flat[landing] = True
+
+            # Hand-off and transport loss for the moved atoms.
+            if p_move_loss > 0:
+                lost = landing[gen.random(landing.size) < p_move_loss]
+                if lost.size:
+                    flat[lost] = False
+                    report.lost_transfer += lost.size
+                    live -= lost.size
+
+        # Vacuum decay for everyone, over this move's duration.
+        if p_decay > 0:
+            decays = gen.random(live) < p_decay
+            lost = int(np.count_nonzero(decays))
+            if lost:
+                flat[np.flatnonzero(flat)[decays]] = False
+                report.lost_vacuum += lost
+                live -= lost
+
+    report.atoms_final = live
+    return report
+
+
+class _SelectedSites:
+    """Every move's selected sites as flat grid indices, in
+    ``shift.sites()`` order, with where each would land.
+
+    Moves whose spans leave the grid get no sites (``on_grid`` is False
+    for them); ``lands_on_grid`` is True for moves whose every site,
+    occupied or not, lands on the grid.
+    """
+
+    def __init__(self, table: MoveTable, shape: tuple[int, int]) -> None:
+        height, width = shape
+        horizontal = table.horizontal[table.move]
+        size = np.where(horizontal, width, height)
+        line_fits = table.line < np.where(horizontal, height, width)
+        fits = line_fits & (table.span_stop <= size)
+        self.on_grid = np.ones(table.n_moves, dtype=bool)
+        self.on_grid[table.move[~fits]] = False
+        lengths = np.where(
+            self.on_grid[table.move], table.span_stop - table.span_start, 0
+        )
+        before = np.concatenate(([0], np.cumsum(lengths)))  # sites before shift j
+        self.offsets = before[table.offsets]
+        first = before[:-1]
+        along = np.arange(int(lengths.sum()))
+        along -= np.repeat(first - table.span_start, lengths)
+        line = np.repeat(table.line, lengths)
+        horizontal = np.repeat(horizontal, lengths)
+        shift = np.repeat(table.displacement[table.move], lengths)
+        self.source = np.where(horizontal, line * width + along, along * width + line)
+        self.landing = self.source + np.where(horizontal, shift, shift * width)
+        along += shift
+        self.landing_ok = (along >= 0) & (along < np.repeat(size, lengths))
+        self.lands_on_grid = np.ones(table.n_moves, dtype=bool)
+        self.lands_on_grid[np.repeat(table.move, lengths)[~self.landing_ok]] = False
+
+
+def _raise_executor_error(grid: np.ndarray, table: MoveTable, index: int) -> None:
+    """Raise the executor's :class:`MoveError` for move ``index``."""
+    apply_parallel_move(grid, table.move_at(index))
+    raise AssertionError(f"move {index} was flagged but the executor accepted it")
+
+
+def simulate_losses_reference(
+    initial: AtomArray,
+    schedule: MoveSchedule,
+    loss: LossModel = DEFAULT_LOSS_MODEL,
+    timing: MoveTimingModel = DEFAULT_MOVE_TIMING,
+    rng: int | np.random.Generator | None = None,
+) -> LossReport:
+    """Site-by-site loss replay; the oracle of :func:`simulate_losses`.
+
+    After each parallel move, every surviving atom faces the vacuum
+    hazard of the move's duration and every *moved* atom additionally
+    faces the hand-off/transport hazard.  Losing atoms only ever empties
+    traps, so the remaining schedule stays executable (suffix shifts
+    tolerate empty selected traps).  A move that selects a site off the
+    grid raises :class:`~repro.errors.MoveError`, as the executor does.
     """
     gen = as_rng(rng)
     array = initial.copy()
+    height, width = array.grid.shape
     report = LossReport(
         atoms_initial=array.n_atoms,
         atoms_final=array.n_atoms,
@@ -143,6 +275,8 @@ def simulate_losses(
         moved_sites: list[tuple[int, int]] = []
         for shift in move.shifts:
             for site in shift.sites():
+                if not (0 <= site[0] < height and 0 <= site[1] < width):
+                    raise MoveError(f"selected site {site} outside grid")
                 if array.grid[site]:
                     moved_sites.append(shift.destination(site))
         apply_parallel_move(array.grid, move)

@@ -174,6 +174,7 @@ class FrameState:
     image: np.ndarray | None = None
     detection: object = None
     result: object = None
+    table: object = None
     program: object = None
     record: CycleRecord | None = None
     schedule_us: float = 0.0
@@ -266,14 +267,20 @@ def stage_schedule(
 
 
 def stage_awg(state: FrameState, config: PipelineConfig) -> FrameState:
-    """Move schedule -> AWG tone-waveform program."""
+    """Move schedule -> columnar move table -> AWG tone-waveform program.
+
+    The :class:`~repro.aod.table.MoveTable` stays on the frame for
+    :func:`stage_replay`, so the schedule is walked once per frame.
+    """
+    from repro.aod.table import MoveTable
     from repro.awg.compiler import compile_schedule
 
     if state.record.converged_at_detect:
         return state
-    state.program = compile_schedule(state.result.schedule, timing=config.timing)
+    state.table = MoveTable.from_schedule(state.result.schedule)
+    state.program = compile_schedule(state.table, timing=config.timing)
     state.record.program_us = state.program.total_duration_us
-    state.record.n_segments = len(state.program.segments)
+    state.record.n_segments = len(state.program)
     return state
 
 
@@ -281,8 +288,9 @@ def stage_replay(state: FrameState, config: PipelineConfig) -> FrameState:
     """Physically execute the schedule on the live (truth) array.
 
     With a loss model the replay is the stochastic
-    :func:`~repro.physics.loss.simulate_losses`; without one it is the
-    exact executor.  The schedule was computed from the *detected*
+    :func:`~repro.physics.loss.simulate_losses`, reading the move table
+    :func:`stage_awg` left on the frame; without one it is the exact
+    executor.  The schedule was computed from the *detected*
     occupancy, so on the rare detection error it may be invalid against
     the truth — that frame falls back to the non-strict executor (which
     skips the offending moves) and is flagged ``replay_fallback``.
@@ -300,7 +308,7 @@ def stage_replay(state: FrameState, config: PipelineConfig) -> FrameState:
         try:
             report = simulate_losses(
                 state.truth,
-                schedule,
+                state.table,
                 loss=config.loss,
                 timing=config.timing,
                 rng=state.loss_rng,

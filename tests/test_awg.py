@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import MoveTimingModel
-from repro.awg.compiler import compile_move, compile_schedule
+from repro.awg.compiler import (
+    compile_move,
+    compile_schedule,
+    compile_schedule_reference,
+)
 from repro.awg.tones import AodToneConfig, ToneMap
-from repro.awg.waveform import Segment, Tone, WaveformProgram
+from repro.awg.waveform import Segment, Tone, WaveformColumns, WaveformProgram
 from repro.errors import WaveformError
 from repro.lattice.geometry import Direction
 
@@ -32,6 +38,16 @@ class TestToneMap:
             tones.frequency(4)
         with pytest.raises(WaveformError):
             tones.index_of(tones.base_mhz - 10)
+
+    def test_frequency_array_matches_scalar_map(self):
+        tones = ToneMap(base_mhz=100.0, spacing_mhz=0.3, n_sites=8)
+        indices = np.array([0, 3, 7])
+        assert tones.frequency_array(indices).tolist() == [
+            tones.frequency(i) for i in (0, 3, 7)
+        ]
+        for bad in ([0, 8], [-1, 2]):
+            with pytest.raises(WaveformError, match="outside tone map"):
+                tones.frequency_array(np.array(bad))
 
     def test_validation(self):
         with pytest.raises(WaveformError):
@@ -163,6 +179,39 @@ class TestCompiler:
         assert program.total_duration_us == 0.0
         assert program.synthesize().size == 0
 
+    @pytest.mark.parametrize("phase", ["pickup_us", "drop_us", "transfer_us_per_site"])
+    @pytest.mark.parametrize("compile_", [compile_schedule, compile_schedule_reference])
+    def test_zero_length_phase_emits_no_segment(self, geo8, phase, compile_):
+        timing = replace(MoveTimingModel(), **{phase: 0.0})
+        schedule = MoveSchedule(geo8)
+        schedule.append(self._move())
+        schedule.append(self._move(Direction.WEST))
+        program = compile_(schedule, timing=timing)
+        assert len(program) == 2 * 2 + 1  # two phases per move, one settle
+        assert program.total_duration_us == timing.schedule_motion_us(schedule)
+        assert all(s.duration_us > 0 for s in program.segments)
+
+    def test_tone_outside_map_rejected(self, geo8):
+        schedule = MoveSchedule(geo8)
+        schedule.append(self._move())
+        tones = AodToneConfig(cols=ToneMap(base_mhz=110.0, n_sites=3))
+        for compile_ in (compile_schedule, compile_schedule_reference):
+            with pytest.raises(WaveformError, match="outside tone map"):
+                compile_(schedule, tones)
+
+    def test_segments_built_only_when_read(self, geo8):
+        schedule = MoveSchedule(geo8)
+        schedule.append(self._move())
+        program = compile_schedule(schedule)
+        assert len(program) == 3
+        assert program.columns.tone_offsets.tolist() == [0, 5, 10, 15]
+        assert program._segments is None
+        assert [s.label for s in program.segments] == [
+            "move0.pickup",
+            "move0.transport",
+            "move0.drop",
+        ]
+
 
 class TestWaveformProgram:
     def test_append_extend(self):
@@ -172,3 +221,41 @@ class TestWaveformProgram:
         program.extend([seg, seg])
         assert len(program) == 3
         assert program.total_duration_us == 3.0
+
+    def test_append_to_compiled_program(self, geo8):
+        schedule = MoveSchedule(geo8)
+        schedule.append(
+            ParallelMove.of([LineShift(Direction.EAST, 2, span_start=1, span_stop=4)])
+        )
+        program = compile_schedule(schedule)
+        program.append(Segment("tail", 5.0, (Tone(1.0, 2.0),)))
+        assert len(program) == 4
+        assert program.segments[-1].label == "tail"
+        assert program.columns.tone_end_mhz[-1] == 2.0
+        assert program.total_duration_us == pytest.approx(
+            MoveTimingModel().schedule_motion_us(schedule) + 5.0
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration_us", 0.0, "needs positive duration"),
+            ("amplitude_start", -0.5, "outside \\[0, 1\\]"),
+            ("amplitude_end", 1.5, "outside \\[0, 1\\]"),
+        ],
+    )
+    def test_columns_apply_segment_checks(self, field, value, message):
+        rows = {
+            "duration_us": np.array([1.0, 1.0]),
+            "amplitude_start": np.array([0.0, 1.0]),
+            "amplitude_end": np.array([1.0, 0.0]),
+        }
+        rows[field][1] = value
+        with pytest.raises(WaveformError, match=message):
+            WaveformColumns(
+                labels=["a", "b"],
+                tone_offsets=np.zeros(3, dtype=int),
+                tone_start_mhz=np.zeros(0),
+                tone_end_mhz=np.zeros(0),
+                **rows,
+            )

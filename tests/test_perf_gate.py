@@ -30,6 +30,8 @@ GATED_LABELS = {
             "mta1",
             "guarded_drain",
             "masked_qrm",
+            "awg_compile",
+            "loss_replay",
         )
     ),
     *(f"batched_qrm@64 B={n} speedup_vs_single" for n in (1, 8, 32, 128)),
@@ -61,7 +63,7 @@ def _halved(payload: dict, path: tuple) -> dict:
 def test_gate_flags_each_tracked_ratio_alone():
     committed = json.loads(COMMITTED_BENCH.read_text())
     assert check_perf_regression(committed, committed) == []
-    assert len(GATED_LABELS) == 13
+    assert len(GATED_LABELS) == 15
 
     flagged: dict[str, list[tuple]] = {}
     for path in _numeric_leaves(committed):

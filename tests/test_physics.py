@@ -8,13 +8,14 @@ from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import MoveTimingModel
 from repro.core.qrm import QrmScheduler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MoveError
 from repro.lattice.geometry import Direction
 from repro.lattice.loading import load_uniform
 from repro.physics.loss import (
     LossModel,
     expected_atom_survival,
     simulate_losses,
+    simulate_losses_reference,
 )
 
 
@@ -118,3 +119,11 @@ class TestSimulateLosses:
         # simulate_losses raises if any move becomes invalid.
         report = simulate_losses(array, schedule, loss=loss, rng=4)
         assert report.atoms_final >= 0
+
+    @pytest.mark.parametrize("replay", [simulate_losses, simulate_losses_reference])
+    def test_span_off_the_grid_raises_move_error(self, geo8, replay):
+        array = load_uniform(geo8, 1.0, rng=0)
+        schedule = MoveSchedule(geo8)
+        schedule.append(ParallelMove.of([LineShift(Direction.EAST, 0, 5, 10)]))
+        with pytest.raises(MoveError, match="outside"):
+            replay(array, schedule, rng=1)

@@ -102,6 +102,130 @@ class TestModeEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Pinned traces: a fixed config fixes its trace across versions too
+# ---------------------------------------------------------------------------
+
+#: ``(config, trace_digest, per-record (program_us, n_segments))``,
+#: recorded with the object AWG compiler and the site-by-site loss
+#: replay (kept as ``compile_schedule_reference`` and
+#: ``simulate_losses_reference``).  A change that moves one RNG draw, one
+#: move or one segment changes these; two runs of one version agreeing
+#: with each other cannot show that.
+PINNED_TRACES = {
+    # The CI pipeline-smoke config.
+    "ci-smoke": (
+        PipelineConfig(
+            size=16, fill=0.5, shots=8, cycles=3, loss=LossModel(), master_seed=0
+        ),
+        "5625823f3e9b412ca50bc6226711a037290d8ed074e6fcacb7ce954fe86b88a2",
+        [
+            (46880.0, 279),
+            (650.0, 3),
+            (0.0, 0),
+            (36160.0, 215),
+            (0.0, 0),
+            (0.0, 0),
+            (43530.0, 259),
+            (0.0, 0),
+            (46880.0, 279),
+            (1320.0, 7),
+            (0.0, 0),
+            (44870.0, 267),
+            (0.0, 0),
+            (38840.0, 231),
+            (1320.0, 7),
+            (0.0, 0),
+            (32140.0, 191),
+            (0.0, 0),
+            (0.0, 0),
+            (45540.0, 271),
+            (0.0, 0),
+            (0.0, 0),
+        ],
+    ),
+    # The paper's geometry: 50x50 load, 30x30 target.
+    "paper": (
+        PipelineConfig(
+            size=50,
+            target=30,
+            fill=0.6,
+            shots=2,
+            cycles=3,
+            loss=LossModel(),
+            master_seed=1,
+        ),
+        "580882dafd30ea5e063f275fb2baf64fbd277d6a9e0a9862459d425cffd1b107",
+        [
+            (313540.0, 1871),
+            (37500.0, 223),
+            (4670.0, 27),
+            (361110.0, 2155),
+            (43530.0, 259),
+            (2660.0, 15),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_pinned_trace(name):
+    config, digest, programs = PINNED_TRACES[name]
+    result = run_pipeline(config)
+    assert result.trace_digest() == digest
+    records = [record for shot in result.shots for record in shot.records]
+    assert [(r.program_us, r.n_segments) for r in records] == programs
+
+
+class TestReplayFallback:
+    """A schedule that leaves the grid falls back with or without loss."""
+
+    class OffGridScheduler:
+        """Emits one shift whose span runs past the east edge."""
+
+        def schedule(self, array):
+            from repro.aod.move import LineShift, ParallelMove
+            from repro.aod.schedule import MoveSchedule
+            from repro.core.result import RearrangementResult
+            from repro.lattice.geometry import Direction
+
+            move = ParallelMove.of([LineShift(Direction.EAST, 0, 5, 10)])
+            schedule = MoveSchedule(array.geometry, "off-grid", [move])
+            return RearrangementResult("off-grid", array, array.copy(), schedule)
+
+    def _frame(self, loss):
+        import numpy as np
+
+        from repro.lattice.loading import load_uniform
+        from repro.pipeline.stages import STAGE_FUNCTIONS, FrameState
+
+        config = PipelineConfig(size=8, fill=0.5, loss=loss)
+        truth = load_uniform(config.geometry(), 0.5, rng=4)
+        state = FrameState(
+            shot=0,
+            cycle=0,
+            truth=truth,
+            camera_rng=np.random.default_rng(1),
+            loss_rng=np.random.default_rng(2),
+        )
+        for key, stage in STAGE_FUNCTIONS:
+            if key == STAGE_SCHEDULE:
+                stage(state, config, self.OffGridScheduler())
+            else:
+                stage(state, config)
+        assert not state.record.converged_at_detect
+        return truth, state.record
+
+    def test_lossy_frame_falls_back_like_lossless(self):
+        truth, lossless = self._frame(None)
+        _, lossy = self._frame(LossModel())
+        for record in (lossless, lossy):
+            assert record.replay_fallback
+            assert record.lost_atoms == 0
+            assert (record.truth_after == truth.grid).all()
+        assert lossy.target_fill_after == lossless.target_fill_after
+
+
+# ---------------------------------------------------------------------------
 # Multi-cycle closed-loop behaviour
 # ---------------------------------------------------------------------------
 
