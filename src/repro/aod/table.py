@@ -13,11 +13,19 @@ Layout: shift ``j`` belongs to move ``move[j]``; the shifts of move
 ``i`` are rows ``offsets[i]:offsets[i + 1]``, in the move's own shift
 order.  Per-move fields hold the lockstep direction (an index into
 :data:`DIRECTIONS`), the step count and the tag.
+
+In memory the columns are ``intp``; :meth:`MoveTable.records` packs
+them into the fixed-width :data:`MOVE_RECORD`/:data:`SHIFT_RECORD`
+layout the scheduling service ships, and a
+:class:`~repro.aod.schedule.MoveSchedule` can be backed by a table
+(:meth:`~repro.aod.schedule.MoveSchedule.from_table`) without building
+its moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +40,13 @@ _CODES = {direction: code for code, direction in enumerate(DIRECTIONS)}
 #: Per code: True for EAST/WEST, and the sign of the along-line step.
 _HORIZONTAL = np.array([d.is_horizontal for d in DIRECTIONS])
 _SIGN = np.array([sum(d.delta) for d in DIRECTIONS], dtype=np.intp)
+
+#: Fixed-width little-endian records of :meth:`MoveTable.records`, the
+#: table's form on the wire: 7 bytes per move and 6 per shift.
+MOVE_RECORD = np.dtype(
+    [("direction", "u1"), ("steps", "<u2"), ("n_shifts", "<u2"), ("tag", "<u2")]
+)
+SHIFT_RECORD = np.dtype([("line", "<u2"), ("span_start", "<u2"), ("span_stop", "<u2")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +117,15 @@ class MoveTable:
 
     @classmethod
     def of(cls, schedule: "MoveSchedule | MoveTable") -> "MoveTable":
-        """``schedule`` itself if it is a table, else its table."""
-        return schedule if isinstance(schedule, cls) else cls.from_schedule(schedule)
+        """``schedule`` itself if it is a table, else its table.
+
+        A table-backed schedule hands back the table it carries, unwalked.
+        """
+        if isinstance(schedule, cls):
+            return schedule
+        if schedule.table is not None:
+            return schedule.table
+        return cls.from_schedule(schedule)
 
     def _check(self, schedule: MoveSchedule, counts, lockstep) -> None:
         """Raise the constructors' :class:`MoveError` for the first
@@ -186,6 +208,75 @@ class MoveTable:
         keys += np.arange(keys.size)
         return keys // width, keys % width
 
+    # -- fixed-width records ---------------------------------------------------
+
+    def records(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """The table as fixed-width records plus its tag string table.
+
+        Returns ``(move records, shift records, tags)``: one
+        :data:`MOVE_RECORD` per move (its tag as an index into ``tags``,
+        which lists each distinct tag once, in first-use order) and one
+        :data:`SHIFT_RECORD` per shift.  Raises :class:`MoveError` when a
+        value does not fit its field.
+        """
+        index: dict[str, int] = {}
+        tag_codes = [index.setdefault(tag, len(index)) for tag in self.tags]
+        moves = np.empty(self.n_moves, MOVE_RECORD)
+        shifts = np.empty(self.n_shifts, SHIFT_RECORD)
+        columns = (
+            (moves, "direction", self.direction),
+            (moves, "steps", self.steps),
+            (moves, "n_shifts", np.diff(self.offsets)),
+            (moves, "tag", np.array(tag_codes, dtype=np.intp)),
+            (shifts, "line", self.line),
+            (shifts, "span_start", self.span_start),
+            (shifts, "span_stop", self.span_stop),
+        )
+        for records, name, values in columns:
+            high = np.iinfo(records.dtype[name]).max
+            if values.size and (values.min() < 0 or values.max() > high):
+                raise MoveError(
+                    f"{name} values span [{values.min()}, {values.max()}], "
+                    f"outside the [0, {high}] of its record field"
+                )
+            records[name] = values
+        return moves, shifts, tuple(index)
+
+    @classmethod
+    def from_records(
+        cls, moves: np.ndarray, shifts: np.ndarray, tags: tuple[str, ...]
+    ) -> "MoveTable":
+        """Inverse of :meth:`records`.
+
+        Checks that the records index each other consistently (shift
+        counts, tag indices, direction codes); the structural rules of
+        :meth:`from_schedule` held where the records were made.
+        """
+        counts = moves["n_shifts"].astype(np.intp)
+        if int(counts.sum()) != len(shifts):
+            raise MoveError(
+                f"move records claim {int(counts.sum())} shifts, "
+                f"{len(shifts)} arrived"
+            )
+        tag_codes = moves["tag"]
+        if tag_codes.size and int(tag_codes.max()) >= len(tags):
+            raise MoveError(f"tag index {int(tag_codes.max())} beyond {len(tags)} tags")
+        direction = moves["direction"].astype(np.intp)
+        if direction.size and int(direction.max()) >= len(DIRECTIONS):
+            raise MoveError(f"unknown direction code {int(direction.max())}")
+        offsets = np.zeros(len(moves) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            move=np.repeat(np.arange(len(moves), dtype=np.intp), counts),
+            line=shifts["line"].astype(np.intp),
+            span_start=shifts["span_start"].astype(np.intp),
+            span_stop=shifts["span_stop"].astype(np.intp),
+            direction=direction,
+            steps=moves["steps"].astype(np.intp),
+            offsets=offsets,
+            tags=tuple(map(tags.__getitem__, tag_codes.tolist())),
+        )
+
     # -- object view ----------------------------------------------------------
 
     def move_at(self, index: int) -> ParallelMove:
@@ -203,5 +294,23 @@ class MoveTable:
         )
         return ParallelMove.trusted(direction, steps, shifts, self.tags[index])
 
+    def __iter__(self) -> Iterator[ParallelMove]:
+        """Every move in order, each built as it is reached."""
+        lines = self.line.tolist()
+        starts = self.span_start.tolist()
+        stops = self.span_stop.tolist()
+        bounds = self.offsets.tolist()
+        trusted_shift = LineShift.trusted
+        for index, (code, steps, tag) in enumerate(
+            zip(self.direction.tolist(), self.steps.tolist(), self.tags)
+        ):
+            direction = DIRECTIONS[code]
+            rows = range(bounds[index], bounds[index + 1])
+            shifts = tuple(
+                trusted_shift(direction, lines[j], starts[j], stops[j], steps)
+                for j in rows
+            )
+            yield ParallelMove.trusted(direction, steps, shifts, tag)
+
     def moves(self) -> list[ParallelMove]:
-        return [self.move_at(index) for index in range(self.n_moves)]
+        return list(self)

@@ -16,9 +16,14 @@ as a ``"module:qualname"`` import path; work frames are
 ``(index, item)``; liveness probes are ``("ping", token)`` answered by
 ``("pong", token, None)``; result frames are ``("ok", index, result)``
 or ``("error", index, message)`` where the message carries a traceback
-tail (:func:`repro.errors.format_error`).  The scheduling service
-(:mod:`repro.service`) speaks the same frames asynchronously with its
-own payload vocabulary.
+tail (:func:`repro.errors.format_error`).
+
+Reading a frame unpickles it, which can run arbitrary code: this
+protocol is for the trusted campaign-worker channel only (the
+executor's own subprocesses and ``repro worker --listen`` daemons on a
+trusted network).  The scheduling service (:mod:`repro.service`)
+speaks typed binary frames instead (:mod:`repro.service.wire`) and
+refuses :data:`PROTOCOL_MAGIC` on its port.
 
 Lives apart from :mod:`repro.campaign.worker` so that importing the
 campaign package (which pulls in the dispatch client) never pre-imports

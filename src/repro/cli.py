@@ -266,7 +266,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             print(
                 f"[serve] rearrangement service on {host}:{port} ({batching}; "
-                f"pickle frames + JSON lines on the same port)",
+                f"typed frames + JSON lines on the same port)",
                 file=sys.stderr,
                 flush=True,
             )
@@ -897,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the rearrangement scheduling service",
         description=(
             "Start the long-lived scheduling server: clients submit "
-            "occupancy frames over TCP (length-prefixed pickle frames or "
+            "occupancy frames over TCP (typed binary frames or "
             "newline-delimited JSON on the same port) and stream back "
             "schedules; concurrent requests for the same geometry are "
             "micro-batched through the cross-trial engine and served from "

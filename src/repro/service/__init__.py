@@ -21,8 +21,9 @@ BatchQrmScheduler` cost instead of N serial dispatch sequences.
 * :mod:`repro.service.executor` — the campaign executor that runs a
   whole :class:`~repro.campaign.engine.ExperimentCampaign` as a client
   of the service;
-* :mod:`repro.service.wire` — the asyncio side of the length-prefixed
-  pickle frame protocol plus the JSON front door codec.
+* :mod:`repro.service.wire` — the typed binary frames (packed
+  occupancy bits in, :class:`~repro.aod.table.MoveTable` records out,
+  never pickle) plus the JSON front door codec.
 """
 
 from repro.service.cache import SchedulerCache, SchedulerKey, resolve_scheduler

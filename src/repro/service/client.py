@@ -1,11 +1,12 @@
 """Blocking client for the scheduling service.
 
 :class:`ServiceClient` is what campaigns, benchmarks and interactive
-callers use from ordinary synchronous code.  The shape follows the
+callers use from ordinary synchronous code.  It speaks the typed binary
+frames of :mod:`repro.service.wire`.  The shape follows the
 background-queue idiom of production ingest clients: callers never
-touch the socket — :meth:`submit_schedule` registers a
-:class:`ServiceFuture`, enqueues the request on a background sender
-thread, and returns immediately.  A bounded in-flight window (a
+touch the socket — :meth:`submit_schedule` encodes the request frame,
+registers a :class:`ServiceFuture`, enqueues the frame on a background
+sender thread, and returns immediately.  A bounded in-flight window (a
 semaphore sized ``max_in_flight``) provides backpressure: submissions
 beyond the window block until earlier requests resolve, which also
 caps how large a wave the server is asked to absorb from one client.
@@ -27,6 +28,11 @@ what lets an entire campaign run as a service client: the executor
 swaps it in for the local scheduler and nothing downstream changes.
 ``schedule_batch`` submits the stack as concurrent requests, so the
 server's micro-batcher sees them as one wave.
+
+Results arrive as :class:`~repro.core.result.RearrangementResult`
+objects whose schedule is backed by the decoded
+:class:`~repro.aod.table.MoveTable`: the receiver thread builds no move
+objects, and iterating a schedule builds each move on demand.
 """
 
 from __future__ import annotations
@@ -37,10 +43,16 @@ import socket
 import threading
 from typing import Any, Iterable, Sequence
 
-from repro.campaign.protocol import read_frame, write_frame, write_handshake
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
 from repro.service.cache import SchedulerKey
+from repro.service.wire import (
+    PREAMBLE,
+    WireError,
+    decode_response,
+    encode_request,
+    read_frame,
+)
 
 _CLOSE = object()
 
@@ -48,11 +60,12 @@ _CLOSE = object()
 class ServiceFuture:
     """The eventual response to one submitted request."""
 
-    def __init__(self, client: "ServiceClient", op: str, request_id: int, payload):
+    def __init__(self, client: "ServiceClient", op: str, request_id: int, frame: bytes):
         self._client = client
         self.op = op
         self.request_id = request_id
-        self.payload = payload
+        #: The encoded request, resent as is on retry or reconnect.
+        self.frame = frame
         self._event = threading.Event()
         self._status: str | None = None
         self._value: Any = None
@@ -80,7 +93,7 @@ class ServiceFuture:
 
 
 class ServiceClient:
-    """Background-queue client speaking pickle frames to the service.
+    """Background-queue client speaking typed frames to the service.
 
     Parameters
     ----------
@@ -194,14 +207,22 @@ class ServiceClient:
     def ping(self) -> bool:
         return self._submit("ping", None).result() == "pong"
 
+    def health(self) -> dict:
+        """The server's dispatcher liveness and queue depth."""
+        return self._submit("health", None).result()
+
     # -- internals ---------------------------------------------------------
 
     def _submit(self, op: str, payload: Any) -> ServiceFuture:
         if self._closing.is_set():
             raise ServiceError("client is closed")
-        self._slots.acquire()
         request_id = next(self._ids)
-        future = ServiceFuture(self, op, request_id, payload)
+        try:
+            frame = encode_request(op, request_id, payload)
+        except WireError as exc:
+            raise ServiceError(str(exc)) from exc
+        self._slots.acquire()
+        future = ServiceFuture(self, op, request_id, frame)
         with self._pending_lock:
             self._pending[request_id] = future
         self._sendq.put(future)
@@ -273,7 +294,8 @@ class ServiceClient:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")
-        write_handshake(self._wfile, {"client": "repro", "proto": "schedule"})
+        self._wfile.write(PREAMBLE)
+        self._wfile.flush()
 
     def _teardown(self) -> None:
         # Shut the socket down first: a receiver thread blocked inside
@@ -313,9 +335,8 @@ class ServiceClient:
                 with self._conn_lock:
                     if self._wfile is None:
                         raise OSError("not connected")
-                    write_frame(
-                        self._wfile, (unit.op, unit.request_id, unit.payload)
-                    )
+                    self._wfile.write(unit.frame)
+                    self._wfile.flush()
             except (OSError, ValueError):
                 # The connection died mid-send.  The receiver notices the
                 # same failure, reconnects, and resends every pending
@@ -328,10 +349,10 @@ class ServiceClient:
             try:
                 with self._conn_lock:
                     rfile = self._rfile
-                frame = read_frame(rfile) if rfile is not None else None
+                payload = read_frame(rfile) if rfile is not None else None
             except Exception:
-                frame = None
-            if frame is None:
+                payload = None
+            if payload is None:
                 if self._closing.is_set():
                     return
                 try:
@@ -345,9 +366,10 @@ class ServiceClient:
                     return
                 continue
             try:
-                status, request_id, value = frame
-            except (TypeError, ValueError):
-                continue  # not a response frame; ignore
+                status, request_id, value = decode_response(payload)
+            except WireError as exc:
+                # Only the request whose result failed to decode fails.
+                status, request_id, value = "error", exc.request_id, str(exc)
             if request_id is None:
                 continue  # connection-level error notice, no owner
             self._resolve(request_id, status, value)
@@ -359,10 +381,10 @@ class RemoteAlgorithm:
     Satisfies the :class:`repro.baselines.base.RearrangementAlgorithm`
     protocol (plus ``schedule_batch``), so anything that consumes a
     scheduler — trials, figure runners, ad-hoc scripts — can be pointed
-    at a running service without code changes.  Results are the
-    server's :class:`~repro.core.result.RearrangementResult` objects,
-    bit-identical to local scheduling (minus the analysis-internal
-    ``pass_outcomes``, which never leave the server).
+    at a running service without code changes.  Results are decoded
+    :class:`~repro.core.result.RearrangementResult` objects with
+    table-backed schedules, bit-identical to local scheduling (minus the
+    analysis-internal ``pass_outcomes``, which never leave the server).
     """
 
     def __init__(self, client: ServiceClient, key: SchedulerKey):

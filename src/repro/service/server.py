@@ -1,10 +1,13 @@
 """The asyncio scheduling server and its micro-batching dispatcher.
 
 :class:`SchedulingService` accepts TCP connections and sniffs the first
-byte of each: the protocol magic selects length-prefixed pickle frames
-(Python clients, :mod:`repro.service.client`), an opening ``{`` selects
-the newline-delimited JSON front door (everything else).  Either way a
-schedule request carries a scheduler identity
+byte of each: :data:`~repro.service.wire.SERVICE_MAGIC` selects the
+typed binary frames of :mod:`repro.service.wire` (Python clients,
+:mod:`repro.service.client`), an opening ``{`` selects the
+newline-delimited JSON front door (everything else), and anything else —
+the pickle protocol's magic included — gets one error frame and a
+closed connection.  Nothing from the socket is ever unpickled.  Either
+way a schedule request carries a scheduler identity
 (:class:`~repro.service.cache.SchedulerKey`) plus one occupancy grid,
 and lands on one shared queue.
 
@@ -19,15 +22,21 @@ runs *inline on the event loop*: while NumPy crunches a wave, newly
 arriving requests buffer in the kernel socket buffers and flood the
 queue the moment the loop yields, forming the next wave naturally —
 adaptive batching without timers under load.  Batching off is just
-``max_batch_size=1``.
+``max_batch_size=1``.  Results leave as their schedule's
+:class:`~repro.aod.table.MoveTable` records, never as object graphs.
 
 Schedulers come from the warm :class:`~repro.service.cache.
 SchedulerCache`, so the hot geometries keep their ``QuadrantFrame``
 coefficients, batch engines and ``MoveInterner`` tables across waves.
 
-A native batch call that raises falls back to scheduling the group's
-arrays one by one, so only the offending request gets an error frame —
-sibling requests in the wave are isolated from each other's failures.
+Failures stay with their request.  Every malformed frame is answered
+with an error under its id; a native batch call that raises falls back
+to scheduling the group's arrays one by one; a result that fails to
+encode becomes that request's error frame; and anything else that
+escapes a wave fails only the wave's unanswered requests.  The
+dispatcher task is supervised: should it end while the service runs,
+its queued requests and every later schedule request get error frames
+under their ids, and the ``health`` op reports it dead.
 """
 
 from __future__ import annotations
@@ -42,13 +51,17 @@ from repro.lattice.array import AtomArray
 from repro.service.cache import SchedulerCache, SchedulerKey
 from repro.service.wire import (
     MAX_JSON_LINE,
+    WireError,
     decode_json_request,
+    decode_request,
+    encode_error,
     encode_json_error,
     encode_json_response,
     encode_json_value,
+    encode_result,
+    encode_value,
     read_frame_async,
-    read_handshake_async,
-    write_frame_async,
+    read_preamble_async,
 )
 
 _SHUTDOWN = object()
@@ -64,31 +77,36 @@ class _Connection:
     # write; the lock keeps their frames from interleaving.
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
-    async def send_ok(self, request_id: Any, result: Any) -> None:
+    async def _write(self, data: bytes) -> None:
         async with self.write_lock:
-            if self.json_mode:
-                self.writer.write(encode_json_response(request_id, result))
+            self.writer.write(data)
+            try:
                 await self.writer.drain()
+            except (ConnectionError, OSError):
+                pass  # the peer left; its reader task closes the connection
+
+    async def send_ok(self, request_id: Any, result: Any) -> bool:
+        """Send a result; False (and an error frame) if it cannot encode."""
+        try:
+            if self.json_mode:
+                data = encode_json_response(request_id, result)
             else:
-                await write_frame_async(self.writer, ("ok", request_id, result))
+                data = encode_result(request_id, result)
+        except Exception as exc:
+            await self.send_error(
+                request_id, f"cannot encode the result: {format_error(exc)}"
+            )
+            return False
+        await self._write(data)
+        return True
 
     async def send_value(self, request_id: Any, value: Any) -> None:
-        async with self.write_lock:
-            if self.json_mode:
-                self.writer.write(encode_json_value(request_id, value))
-                await self.writer.drain()
-            else:
-                await write_frame_async(self.writer, ("ok", request_id, value))
+        encode = encode_json_value if self.json_mode else encode_value
+        await self._write(encode(request_id, value))
 
     async def send_error(self, request_id: Any, message: str) -> None:
-        async with self.write_lock:
-            if self.json_mode:
-                self.writer.write(encode_json_error(request_id, message))
-                await self.writer.drain()
-            else:
-                await write_frame_async(
-                    self.writer, ("error", request_id, message)
-                )
+        encode = encode_json_error if self.json_mode else encode_error
+        await self._write(encode(request_id, message))
 
 
 @dataclass
@@ -99,6 +117,7 @@ class _PendingRequest:
     request_id: Any
     key: SchedulerKey
     array: AtomArray
+    answered: bool = False
 
 
 class SchedulingService:
@@ -147,6 +166,12 @@ class SchedulingService:
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._readers: set[asyncio.Task] = set()
+        # Supervision: the wave in hand (answered on dispatcher death),
+        # whether stop() ended the dispatcher, and why it ended otherwise.
+        self._wave: list[_PendingRequest] = []
+        self._stopping = False
+        self._dispatcher_failure: str | None = None
+        self._cleanup: set[asyncio.Task] = set()
         # Wave accounting for the latency benchmark and the tests:
         # how often batching actually coalesced concurrent requests.
         self.stats: dict[str, int] = {
@@ -172,8 +197,10 @@ class SchedulingService:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._dispatcher.add_done_callback(self._on_dispatcher_done)
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -185,8 +212,10 @@ class SchedulingService:
         if self._dispatcher is not None:
             assert self._queue is not None
             await self._queue.put(_SHUTDOWN)
-            await self._dispatcher
+            await asyncio.gather(self._dispatcher, return_exceptions=True)
             self._dispatcher = None
+        if self._cleanup:
+            await asyncio.gather(*self._cleanup, return_exceptions=True)
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -194,6 +223,46 @@ class SchedulingService:
 
     def snapshot_stats(self) -> dict[str, Any]:
         return {**self.stats, "cache": self.cache.stats()}
+
+    @property
+    def dispatcher_alive(self) -> bool:
+        return self._dispatcher is not None and not self._dispatcher.done()
+
+    def health(self) -> dict[str, Any]:
+        """Dispatcher liveness and queue depth (the ``health`` op)."""
+        return {
+            "dispatcher_alive": self.dispatcher_alive,
+            "dispatcher_failure": self._dispatcher_failure,
+            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+        }
+
+    def _on_dispatcher_done(self, task: asyncio.Task) -> None:
+        """Answer every request the ended dispatcher would have served."""
+        if self._stopping:
+            return
+        if task.cancelled():
+            self._dispatcher_failure = "cancelled"
+        else:
+            error = task.exception()
+            self._dispatcher_failure = (
+                "returned" if error is None else format_error(error)
+            )
+        stranded = [request for request in self._wave if not request.answered]
+        assert self._queue is not None
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is not _SHUTDOWN:
+                stranded.append(item)
+        message = f"the dispatcher has stopped ({self._dispatcher_failure})"
+        cleanup = asyncio.get_running_loop().create_task(
+            self._answer_all(stranded, message)
+        )
+        self._cleanup.add(cleanup)
+        cleanup.add_done_callback(self._cleanup.discard)
+
+    async def _answer_all(self, requests: list[_PendingRequest], message: str) -> None:
+        for request in requests:
+            await self._fail(request, message)
 
     # -- connection handling -----------------------------------------------
 
@@ -212,40 +281,38 @@ class SchedulingService:
                 connection.json_mode = True
                 await self._serve_json(reader, connection, first)
             else:
-                await read_handshake_async(reader, first)
+                await read_preamble_async(reader, first)
                 await self._serve_frames(reader, connection)
-        except (asyncio.CancelledError, ConnectionResetError, EOFError):
+        except (asyncio.CancelledError, ConnectionError, EOFError):
             pass
         except ConfigurationError as exc:
-            # A garbage handshake or malformed stream: one clear error
-            # frame (best effort — the peer may not even speak frames).
-            try:
-                await connection.send_error(None, str(exc))
-            except (ConnectionResetError, OSError):
-                pass
+            # A refused preamble, an oversized frame or a malformed JSON
+            # stream: one error frame (under the frame's id when it was
+            # readable), then the connection closes.
+            self.stats["errors"] += 1
+            await connection.send_error(getattr(exc, "request_id", None), str(exc))
         finally:
             self._readers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, OSError):
+            except (ConnectionError, OSError):
                 pass
 
     async def _serve_frames(
         self, reader: asyncio.StreamReader, connection: _Connection
     ) -> None:
-        assert self._queue is not None
         while True:
-            frame = await read_frame_async(reader)
-            if frame is None:
+            payload = await read_frame_async(reader)
+            if payload is None:
                 return
             try:
-                op, request_id, payload = frame
-            except (TypeError, ValueError):
-                await connection.send_error(None, f"malformed request: {frame!r}")
+                op, request_id, request = decode_request(payload)
+            except WireError as exc:
                 self.stats["errors"] += 1
+                await connection.send_error(exc.request_id, str(exc))
                 continue
-            await self._enqueue(connection, op, request_id, payload)
+            await self._enqueue(connection, op, request_id, request)
 
     async def _serve_json(
         self,
@@ -282,16 +349,27 @@ class SchedulingService:
         if op == "stats":
             await connection.send_value(request_id, self.snapshot_stats())
             return
+        if op == "health":
+            await connection.send_value(request_id, self.health())
+            return
         if op != "schedule":
             await connection.send_error(request_id, f"unknown op {op!r}")
             self.stats["errors"] += 1
             return
         try:
             key = SchedulerKey.from_payload(payload)
+            hash(key)  # the dispatcher groups by key
             array = AtomArray(key.to_geometry(), payload["grid"])
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
+        except Exception as exc:
             await connection.send_error(
                 request_id, f"{type(exc).__name__}: {exc}"
+            )
+            self.stats["errors"] += 1
+            return
+        if not self.dispatcher_alive:
+            await connection.send_error(
+                request_id,
+                f"the dispatcher has stopped ({self._dispatcher_failure})",
             )
             self.stats["errors"] += 1
             return
@@ -315,7 +393,7 @@ class SchedulingService:
             item = await self._queue.get()
             if item is _SHUTDOWN:
                 return
-            wave = [item]
+            wave = self._wave = [item]
             if self.max_batch_size > 1 and self.batch_window > 0:
                 deadline = loop.time() + self.batch_window
                 while len(wave) < self.max_batch_size:
@@ -344,7 +422,15 @@ class SchedulingService:
                     stopping = True
                     break
                 wave.append(item)
-            await self._run_wave(wave)
+            try:
+                await self._run_wave(wave)
+            except Exception as exc:
+                # Whatever escaped fails this wave's unanswered requests,
+                # never the dispatcher.
+                for request in wave:
+                    if not request.answered:
+                        await self._fail(request, format_error(exc))
+            self._wave = []
 
     async def _run_wave(self, wave: list[_PendingRequest]) -> None:
         self.stats["waves"] += 1
@@ -359,14 +445,9 @@ class SchedulingService:
                 scheduler = self.cache.get(key)
             except Exception as exc:
                 # Any factory failure (e.g. a TypeError from unknown
-                # params) is this group's error, never the dispatcher's:
-                # an escaping exception would end _dispatch_loop and
-                # leave every later request hanging.
+                # params) is this group's error, never the dispatcher's.
                 for request in group:
-                    self.stats["errors"] += 1
-                    await request.connection.send_error(
-                        request.request_id, f"{type(exc).__name__}: {exc}"
-                    )
+                    await self._fail(request, f"{type(exc).__name__}: {exc}")
                 continue
             for start in range(0, len(group), self.max_batch_size):
                 chunk = group[start : start + self.max_batch_size]
@@ -393,18 +474,21 @@ class SchedulingService:
                     results.append(exc)
         for request, result in zip(chunk, results):
             if isinstance(result, Exception):
-                self.stats["errors"] += 1
                 # Mirror the worker protocol: the message carries a
                 # traceback tail so remote failures stay debuggable.
-                await request.connection.send_error(
-                    request.request_id, format_error(result)
-                )
-            else:
-                # Pass outcomes are analysis-internal debris (excluded
-                # from repr, metrics and the oracle comparisons) but
-                # dominate the pickle size — never ship them.
-                result.pass_outcomes = []
-                await request.connection.send_ok(request.request_id, result)
+                await self._fail(request, format_error(result))
+                continue
+            # Pass outcomes are analysis-internal debris (excluded from
+            # repr, metrics and the oracle comparisons); never ship them.
+            result.pass_outcomes = []
+            request.answered = True
+            if not await request.connection.send_ok(request.request_id, result):
+                self.stats["errors"] += 1
+
+    async def _fail(self, request: _PendingRequest, message: str) -> None:
+        request.answered = True
+        self.stats["errors"] += 1
+        await request.connection.send_error(request.request_id, message)
 
 
 class ServiceThread:

@@ -15,6 +15,7 @@ siblings, client retry/timeout semantics, and the campaign-level
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import time
@@ -375,6 +376,123 @@ def test_wave_sibling_isolation_on_mid_batch_failure():
         unregister_algorithm("poison-prone")
     assert stats["fallback_calls"] >= 1
     assert stats["errors"] == 1
+
+
+def test_encode_failure_is_that_requests_error_frame(monkeypatch):
+    # The encoder raises for one request of a wave: its siblings still
+    # get their results, it gets an error frame under its id, and the
+    # dispatcher keeps serving later requests.
+    from repro.service import server as server_module
+
+    geometry = ArrayGeometry.square(8)
+    key = key_for(geometry)
+    arrays = [load_uniform(geometry, 0.5, rng=seed) for seed in range(4)]
+    bad = arrays[2]
+    real_encode = server_module.encode_result
+
+    def encode_or_fail(request_id, result):
+        if np.array_equal(result.initial.grid, bad.grid):
+            raise OverflowError("injected encode failure")
+        return real_encode(request_id, result)
+
+    monkeypatch.setattr(server_module, "encode_result", encode_or_fail)
+    with serve_in_thread(batch_window=0.2, max_batch_size=32) as thread:
+        with ServiceClient(thread.address) as client:
+            futures = [client.submit_schedule(key, array) for array in arrays]
+            with pytest.raises(ServiceError, match="injected encode failure"):
+                futures[2].result()
+            local = resolve_scheduler(key)
+            for index in (0, 1, 3):
+                assert_results_identical(
+                    futures[index].result(), local.schedule(arrays[index])
+                )
+            later = load_uniform(geometry, 0.5, rng=99)
+            assert_results_identical(
+                client.schedule(key, later), local.schedule(later)
+            )
+            stats = client.stats()
+    assert stats["waves"] >= 2 and stats["max_wave"] == 4
+    assert stats["errors"] == 1
+
+
+def test_an_error_escaping_a_wave_fails_only_that_wave(monkeypatch):
+    # Whatever escapes a wave (here an injected bug in the chunk runner)
+    # becomes error frames for that wave's requests; the dispatcher lives
+    # on and serves the next wave.
+    from repro.service.server import SchedulingService
+
+    real_run_chunk = SchedulingService._run_chunk
+    calls = []
+
+    async def fail_once(self, scheduler, chunk):
+        calls.append(len(chunk))
+        if len(calls) == 1:
+            raise RuntimeError("injected wave bug")
+        await real_run_chunk(self, scheduler, chunk)
+
+    monkeypatch.setattr(SchedulingService, "_run_chunk", fail_once)
+    geometry = ArrayGeometry.square(8)
+    key = key_for(geometry)
+    array = load_uniform(geometry, 0.5, rng=0)
+    with serve_in_thread(batch_window=0.0) as thread:
+        with ServiceClient(thread.address) as client:
+            with pytest.raises(ServiceError, match="injected wave bug"):
+                client.schedule(key, array)
+            assert_results_identical(
+                client.schedule(key, array), resolve_scheduler(key).schedule(array)
+            )
+            assert client.health()["dispatcher_alive"] is True
+
+
+def test_health_reports_a_running_dispatcher(client):
+    health = client.health()
+    assert health["dispatcher_alive"] is True
+    assert health["dispatcher_failure"] is None
+    assert health["queue_depth"] >= 0
+
+
+def test_killed_dispatcher_answers_queued_and_later_requests(monkeypatch):
+    # A wave hangs; while it does, health still answers and two more
+    # requests queue behind it.  Then the dispatcher task is killed: the
+    # wave's request, the queued ones and every later schedule request
+    # get error frames under their ids instead of hanging, and health
+    # reports the dispatcher dead.
+    from repro.service.server import SchedulingService
+
+    async def hang(self, wave):
+        await asyncio.sleep(3600)
+
+    monkeypatch.setattr(SchedulingService, "_run_wave", hang)
+    geometry = ArrayGeometry.square(8)
+    key = key_for(geometry)
+    arrays = [load_uniform(geometry, 0.5, rng=seed) for seed in range(4)]
+    with serve_in_thread(batch_window=0.0, max_batch_size=1) as thread:
+        with ServiceClient(thread.address, request_timeout=10.0) as client:
+            hung = client.submit_schedule(key, arrays[0])
+            queued = [client.submit_schedule(key, a) for a in arrays[1:3]]
+            deadline = time.monotonic() + 5.0
+            while client.health()["queue_depth"] < 2:
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.01)
+            dispatcher = thread.service._dispatcher
+            thread._loop.call_soon_threadsafe(dispatcher.cancel)
+            for future in [hung, *queued]:
+                with pytest.raises(ServiceError, match="dispatcher has stopped"):
+                    future.result(timeout=5.0)
+            later = client.submit_schedule(key, arrays[3])
+            with pytest.raises(ServiceError, match="dispatcher has stopped"):
+                later.result(timeout=5.0)
+            health = client.health()
+            assert client.ping()
+    assert health["dispatcher_alive"] is False
+    assert health["dispatcher_failure"] == "cancelled"
+    assert health["queue_depth"] == 0
+
+
+def test_json_health_op(server):
+    (health,) = json_roundtrip(server.address, {"id": 4, "op": "health"})
+    assert health["id"] == 4 and health["ok"] is True
+    assert health["value"]["dispatcher_alive"] is True
 
 
 # ---------------------------------------------------------------------------
